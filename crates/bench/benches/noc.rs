@@ -51,7 +51,7 @@ fn drive(vc: VcMode, cycles: u64) -> u64 {
             };
             let dest = (id % 32) as usize;
             if x.can_inject(sm as usize, req.kind.is_pim()) {
-                x.try_inject(now, sm as usize, req, dest).unwrap();
+                x.try_inject(sm as usize, req, dest).unwrap();
                 id += 1;
             }
         }

@@ -190,8 +190,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                     other => return err(format!("unknown flag: {other}")),
                 }
             }
-            if opts.scale <= 0.0 {
-                return err("--scale must be positive");
+            if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                return err("--scale must be a finite positive number");
+            }
+            let num_sms = system_for(&opts).gpu.num_sms;
+            if !(1..=num_sms).contains(&opts.sms) {
+                return err(format!("--sms must be between 1 and {num_sms}"));
             }
             for (key, value) in [("mem-cap", mem_cap), ("pim-cap", pim_cap)] {
                 if let Some(v) = value {
@@ -576,6 +580,33 @@ mod tests {
         assert!(e.0.contains("unsigned"), "{e}");
         let e = parse_args(&args("standalone --pim P1 --dram hbm:ranks=4")).unwrap_err();
         assert!(e.0.contains("no tunable parameter"), "{e}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_sms() {
+        for sms in ["0", "81", "500"] {
+            let e = parse_args(&args(&format!("standalone --gpu G4 --sms {sms}"))).unwrap_err();
+            assert!(e.0.contains("--sms must be between 1 and 80"), "{sms}: {e}");
+        }
+        assert!(parse_args(&args("standalone --gpu G4 --sms 1")).is_ok());
+        assert!(parse_args(&args("standalone --gpu G4 --sms 80")).is_ok());
+    }
+
+    #[test]
+    fn rejects_non_finite_or_non_positive_scale() {
+        for scale in ["nan", "NaN", "inf", "-inf", "0", "-0.5"] {
+            let e = parse_args(&args(&format!("standalone --pim P1 --scale {scale}"))).unwrap_err();
+            assert!(e.0.contains("--scale must be"), "{scale}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_zero_cap_flags() {
+        for flag in ["--mem-cap", "--pim-cap"] {
+            let argv = format!("coexec --gpu G1 --pim P1 --policy f3fs {flag} 0");
+            let e = parse_args(&args(&argv)).unwrap_err();
+            assert!(e.0.contains("out of range"), "{argv}: {e}");
+        }
     }
 
     #[test]

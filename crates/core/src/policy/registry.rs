@@ -239,14 +239,15 @@ pub fn canonical_name(kind: PolicyKind) -> &'static str {
 }
 
 fn narrow<T: TryFrom<u64>>(name: &str, key: &str, value: u64) -> Result<T, PolicyParseError> {
-    T::try_from(value)
-        .map_err(|_| PolicyParseError(format!("{name}: value {value} out of range for '{key}'")))
+    T::try_from(value).map_err(|_| out_of_range(name, key, value))
 }
 
 /// Returns `kind` with the tunable parameter `key` set to `value`.
 ///
-/// Fails if the policy has no such parameter or the value does not fit the
-/// parameter's type.
+/// Fails if the policy has no such parameter or the value is outside the
+/// parameter's range (caps and batch sizes start at 1, percentages stop
+/// at 100). A constraint spanning two parameters — G&I's `low < high` —
+/// is checked by [`parse_spec`] once the whole spec is applied.
 pub fn apply_param(
     kind: PolicyKind,
     key: &str,
@@ -265,56 +266,65 @@ pub fn apply_param(
             )
         })
     };
-    match (kind, key) {
-        (PolicyKind::FrFcfsCap { .. }, "cap") => Ok(PolicyKind::FrFcfsCap {
+    let tuned = match (kind, key) {
+        (PolicyKind::FrFcfsCap { .. }, "cap") => PolicyKind::FrFcfsCap {
             cap: narrow(name, key, value)?,
-        }),
-        (PolicyKind::Bliss { clear_interval, .. }, "threshold") => Ok(PolicyKind::Bliss {
+        },
+        (PolicyKind::Bliss { clear_interval, .. }, "threshold") => PolicyKind::Bliss {
             threshold: narrow(name, key, value)?,
             clear_interval,
-        }),
-        (PolicyKind::Bliss { threshold, .. }, "clear-interval") => Ok(PolicyKind::Bliss {
+        },
+        (PolicyKind::Bliss { threshold, .. }, "clear-interval") => PolicyKind::Bliss {
             threshold,
             clear_interval: value,
-        }),
-        (PolicyKind::GatherIssue { low, .. }, "high") => Ok(PolicyKind::GatherIssue {
+        },
+        (PolicyKind::GatherIssue { low, .. }, "high") => PolicyKind::GatherIssue {
             high: narrow(name, key, value)?,
             low,
-        }),
-        (PolicyKind::GatherIssue { high, .. }, "low") => Ok(PolicyKind::GatherIssue {
+        },
+        (PolicyKind::GatherIssue { high, .. }, "low") => PolicyKind::GatherIssue {
             high,
             low: narrow(name, key, value)?,
-        }),
-        (PolicyKind::Sms { sjf_percent, .. }, "batch-cap") => Ok(PolicyKind::Sms {
+        },
+        (PolicyKind::Sms { sjf_percent, .. }, "batch-cap") => PolicyKind::Sms {
             batch_cap: narrow(name, key, value)?,
             sjf_percent,
-        }),
-        (PolicyKind::Sms { batch_cap, .. }, "sjf-percent") => Ok(PolicyKind::Sms {
+        },
+        (PolicyKind::Sms { batch_cap, .. }, "sjf-percent") => PolicyKind::Sms {
             batch_cap,
             sjf_percent: narrow(name, key, value)?,
-        }),
-        (PolicyKind::F3fs { pim_cap, .. }, "mem-cap") => Ok(PolicyKind::F3fs {
+        },
+        (PolicyKind::F3fs { pim_cap, .. }, "mem-cap") => PolicyKind::F3fs {
             mem_cap: narrow(name, key, value)?,
             pim_cap,
-        }),
-        (PolicyKind::F3fs { mem_cap, .. }, "pim-cap") => Ok(PolicyKind::F3fs {
+        },
+        (PolicyKind::F3fs { mem_cap, .. }, "pim-cap") => PolicyKind::F3fs {
             mem_cap,
             pim_cap: narrow(name, key, value)?,
-        }),
-        (PolicyKind::F3fsNoModeFirst { pim_cap, .. }, "mem-cap") => {
-            Ok(PolicyKind::F3fsNoModeFirst {
-                mem_cap: narrow(name, key, value)?,
-                pim_cap,
-            })
-        }
-        (PolicyKind::F3fsNoModeFirst { mem_cap, .. }, "pim-cap") => {
-            Ok(PolicyKind::F3fsNoModeFirst {
-                mem_cap,
-                pim_cap: narrow(name, key, value)?,
-            })
-        }
-        _ => Err(unknown()),
+        },
+        (PolicyKind::F3fsNoModeFirst { pim_cap, .. }, "mem-cap") => PolicyKind::F3fsNoModeFirst {
+            mem_cap: narrow(name, key, value)?,
+            pim_cap,
+        },
+        (PolicyKind::F3fsNoModeFirst { mem_cap, .. }, "pim-cap") => PolicyKind::F3fsNoModeFirst {
+            mem_cap,
+            pim_cap: narrow(name, key, value)?,
+        },
+        _ => return Err(unknown()),
+    };
+    let (min, max) = match key {
+        "mem-cap" | "pim-cap" | "batch-cap" => (1, u64::MAX),
+        "sjf-percent" => (0, 100),
+        _ => (0, u64::MAX),
+    };
+    if !(min..=max).contains(&value) {
+        return Err(out_of_range(name, key, value));
     }
+    Ok(tuned)
+}
+
+fn out_of_range(name: &str, key: &str, value: u64) -> PolicyParseError {
+    PolicyParseError(format!("{name}: value {value} out of range for '{key}'"))
 }
 
 /// Parses a policy spec string: a registered name, optionally followed by
@@ -352,6 +362,14 @@ pub fn parse_spec(spec: &str) -> Result<PolicyKind, PolicyParseError> {
                 ))
             })?;
             kind = apply_param(kind, key.trim(), value)?;
+        }
+    }
+    if let PolicyKind::GatherIssue { high, low } = kind {
+        if low >= high {
+            return Err(PolicyParseError(format!(
+                "{}: value {low} out of range for 'low' (must be below high={high})",
+                desc.name
+            )));
         }
     }
     Ok(kind)
@@ -421,6 +439,26 @@ mod tests {
             .unwrap_err()
             .0
             .contains("out of range"));
+        // Values that fit the type but that the policy's constructor
+        // would reject.
+        for spec in [
+            "f3fs:mem-cap=0",
+            "f3fs:pim-cap=0",
+            "f3fs-no-mode-first:mem-cap=0",
+            "gi:high=0",
+            "gi:low=100",
+            "gi:high=1,low=5",
+            "sms:batch-cap=0",
+            "sms:sjf-percent=250",
+        ] {
+            let e = parse_spec(spec).unwrap_err();
+            assert!(e.0.contains("out of range"), "{spec}: {e}");
+        }
+        // Interdependent parameters may be given in any order.
+        assert_eq!(
+            parse_spec("gi:high=20,low=8").unwrap(),
+            PolicyKind::GatherIssue { high: 20, low: 8 }
+        );
     }
 
     #[test]

@@ -24,17 +24,11 @@ use pimsim_types::{Cycle, Request, VcMode};
 /// Virtual-channel index within a port.
 pub type VcIndex = usize;
 
-/// A queued flit: a request plus its destination output port and the
-/// cycle it entered the crossbar. The timestamp makes deferred
-/// arbitration exact: a replayed cycle `g` must only see flits with
-/// `inject_at <= g`, and because injections append and per-lane
-/// timestamps are nondecreasing, the visible set is always a queue
-/// prefix.
+/// A queued flit: a request plus its destination output port.
 #[derive(Debug, Clone, Copy)]
 struct Flit {
     req: Request,
     dest: usize,
-    inject_at: Cycle,
 }
 
 /// Per-input-port state.
@@ -79,7 +73,7 @@ pub struct CrossbarStats {
 ///
 /// let mut xbar = Crossbar::new(2, 2, 8, VcMode::Shared);
 /// let req = Request::new(RequestId(0), AppId::GPU, RequestKind::MemRead, PhysAddr(0), 0, 0);
-/// xbar.try_inject(0, 0, req, 1).unwrap();
+/// xbar.try_inject(0, req, 1).unwrap();
 /// let mut out = Vec::new();
 /// xbar.step(0, |port, _vc, req| {
 ///     out.push((port, req.id));
@@ -106,19 +100,6 @@ pub struct Crossbar {
     /// words. The proposal gather walks set bits instead of scanning
     /// every input port.
     busy_in: Vec<u64>,
-    /// Buffered flits per `(dest, vc)` slot (`dest * vcs + vc`),
-    /// maintained on inject/eject so the eject-credit horizon check is a
-    /// counter read per destination lane instead of a queue scan.
-    buffered: Vec<usize>,
-    /// Buffered non-PIM flits, total. Any MEM flit in flight disables
-    /// arbitration deferral (its L2-hit reply timing is not covered by
-    /// the PIM completion-latency bound), so the check must be O(1).
-    buffered_mem: usize,
-    /// Input VC lanes currently at capacity. While zero, one more
-    /// injection per input per cycle (the issue stage's K=1 bound) cannot
-    /// be refused, so deferring ejections cannot change `can_inject`
-    /// answers.
-    full_lanes: usize,
     /// Words per input-set bitmask (`busy_in.len()`, and the stride of
     /// each output's stripe in the request scratch).
     in_words: usize,
@@ -201,9 +182,6 @@ impl Crossbar {
             stats: CrossbarStats::default(),
             occupancy: 0,
             busy_in: vec![0; in_words],
-            buffered: vec![0; n_out * vcs],
-            buffered_mem: 0,
-            full_lanes: 0,
             in_words,
             scratch: StepScratch {
                 input_done: vec![false; n_in],
@@ -235,11 +213,6 @@ impl Crossbar {
         self.n_out
     }
 
-    /// Virtual channels per port under the current configuration.
-    pub fn vc_count(&self) -> usize {
-        self.vc_mode.vc_count()
-    }
-
     /// The virtual channel a request uses under the current configuration.
     pub fn vc_for(&self, req: &Request) -> VcIndex {
         match self.vc_mode {
@@ -258,8 +231,7 @@ impl Crossbar {
         p.vcs[vc].len() < p.capacity_per_vc
     }
 
-    /// Injects `req` at `input` on cycle `now`, destined for output port
-    /// `dest`.
+    /// Injects `req` at `input`, destined for output port `dest`.
     ///
     /// # Errors
     ///
@@ -268,13 +240,7 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `input` or `dest` is out of range.
-    pub fn try_inject(
-        &mut self,
-        now: Cycle,
-        input: usize,
-        req: Request,
-        dest: usize,
-    ) -> Result<(), Request> {
+    pub fn try_inject(&mut self, input: usize, req: Request, dest: usize) -> Result<(), Request> {
         assert!(dest < self.n_out, "dest out of range");
         let vc = self.vc_for(&req);
         let p = &mut self.inputs[input];
@@ -282,53 +248,11 @@ impl Crossbar {
             self.stats.inject_stalls += 1;
             return Err(req);
         }
-        debug_assert!(
-            p.vcs[vc].back().is_none_or(|f| f.inject_at <= now),
-            "per-lane inject timestamps must be nondecreasing"
-        );
-        p.vcs[vc].push_back(Flit {
-            req,
-            dest,
-            inject_at: now,
-        });
-        if p.vcs[vc].len() == p.capacity_per_vc {
-            self.full_lanes += 1;
-        }
+        p.vcs[vc].push_back(Flit { req, dest });
         self.busy_in[input / 64] |= 1 << (input % 64);
         self.occupancy += 1;
-        self.buffered[dest * self.vc_mode.vc_count() + vc] += 1;
-        if !req.kind.is_pim() {
-            self.buffered_mem += 1;
-        }
         self.stats.injected += 1;
         Ok(())
-    }
-
-    /// Buffered flits headed for `(dest, vc)`. O(1): maintained on
-    /// inject/eject.
-    pub fn buffered_for(&self, dest: usize, vc: VcIndex) -> usize {
-        self.buffered[dest * self.vc_mode.vc_count() + vc]
-    }
-
-    /// Whether any buffered flit targets `dest`, across VCs.
-    pub fn buffered_dest(&self, dest: usize) -> bool {
-        let vcs = self.vc_mode.vc_count();
-        self.buffered[dest * vcs..(dest + 1) * vcs]
-            .iter()
-            .any(|&n| n > 0)
-    }
-
-    /// Buffered non-PIM flits, total. O(1).
-    pub fn buffered_mem(&self) -> usize {
-        self.buffered_mem
-    }
-
-    /// Whether any input VC lane is at capacity. O(1). While `false`,
-    /// deferring ejections cannot change an injection verdict before the
-    /// next per-cycle check, because each input injects at most one flit
-    /// per cycle.
-    pub fn has_full_input_lane(&self) -> bool {
-        self.full_lanes > 0
     }
 
     /// Total flits buffered at `input`.
@@ -386,28 +310,18 @@ impl Crossbar {
         true
     }
 
-    /// Whether lane `vc` of `input` has a head flit visible at cycle
-    /// `now`. Per-lane timestamps are nondecreasing, so an invisible head
-    /// means the whole lane is invisible.
-    fn lane_visible(&self, input: usize, vc: VcIndex, now: Cycle) -> bool {
-        self.inputs[input].vcs[vc]
-            .front()
-            .is_some_and(|f| f.inject_at <= now)
-    }
-
-    /// Head-flit VC an input proposes on cycle `now`: the modified iSlip
-    /// VC round-robin (switch away from `last_vc` when the other VC has
-    /// traffic). Only flits injected at or before `now` participate, so a
-    /// replayed cycle sees exactly what the live cycle saw.
-    fn propose_vc(&self, input: usize, now: Cycle) -> Option<VcIndex> {
+    /// Head-flit VC an input proposes this cycle: the modified iSlip VC
+    /// round-robin (switch away from `last_vc` when the other VC has
+    /// traffic).
+    fn propose_vc(&self, input: usize) -> Option<VcIndex> {
         let p = &self.inputs[input];
         match p.vcs.len() {
-            1 => self.lane_visible(input, 0, now).then_some(0),
+            1 => (!p.vcs[0].is_empty()).then_some(0),
             _ => {
                 let other = 1 - p.last_vc;
-                if self.lane_visible(input, other, now) {
+                if !p.vcs[other].is_empty() {
                     Some(other)
-                } else if self.lane_visible(input, p.last_vc, now) {
+                } else if !p.vcs[p.last_vc].is_empty() {
                     Some(p.last_vc)
                 } else {
                     None
@@ -422,7 +336,7 @@ impl Crossbar {
     /// must return `true` to accept it (downstream queue has space). On
     /// `false`, the flit stays queued and the grant pointer does not
     /// advance (iSlip only advances pointers on successful grants).
-    pub fn step<F>(&mut self, now: Cycle, eject: F)
+    pub fn step<F>(&mut self, _now: Cycle, mut eject: F)
     where
         F: FnMut(usize, VcIndex, &Request) -> bool,
     {
@@ -433,36 +347,6 @@ impl Crossbar {
             return;
         }
         self.stats.occupancy_integral += self.occupancy as u64;
-        self.arbitrate(now, eject);
-    }
-
-    /// Replays the arbitration cycle `at` after its live step was
-    /// deferred. `injected_upto` is `stats().injected` captured when the
-    /// cycle was deferred; because replay runs in chronological order,
-    /// the flits the live cycle would have seen are exactly the
-    /// `injected_upto - stats.ejected` oldest buffered ones, and the
-    /// per-flit `inject_at` gate inside arbitration enforces precisely
-    /// that prefix. The occupancy integral is advanced by the visible
-    /// count, matching the live step's contribution bit for bit.
-    pub fn replay_cycle<F>(&mut self, at: Cycle, injected_upto: u64, eject: F)
-    where
-        F: FnMut(usize, VcIndex, &Request) -> bool,
-    {
-        let visible = injected_upto.saturating_sub(self.stats.ejected);
-        if visible == 0 {
-            // The live cycle would have early-returned on an empty
-            // crossbar without touching arbiter state.
-            return;
-        }
-        self.stats.occupancy_integral += visible;
-        self.arbitrate(at, eject);
-    }
-
-    /// One iSlip arbitration pass over the flits visible at `now`.
-    fn arbitrate<F>(&mut self, now: Cycle, mut eject: F)
-    where
-        F: FnMut(usize, VcIndex, &Request) -> bool,
-    {
         let n_in = self.inputs.len();
         // Borrow the scratch out of self for the duration of the step so
         // the arbitration loops can mutate `self.inputs` freely; the
@@ -496,18 +380,17 @@ impl Crossbar {
                     if input_done[i] {
                         continue;
                     }
-                    let Some(first) = self.propose_vc(i, now) else {
+                    let Some(first) = self.propose_vc(i) else {
                         continue;
                     };
                     let n_vcs = self.inputs[i].vcs.len();
-                    // The preferred VC, then any other VC with a visible
-                    // head.
+                    // The preferred VC, then any other nonempty VC.
                     for off in 0..n_vcs {
                         let vc = if off == 0 {
                             first
                         } else {
                             let other = (first + off) % n_vcs;
-                            if !self.lane_visible(i, other, now) {
+                            if self.inputs[i].vcs[other].is_empty() {
                                 continue;
                             }
                             other
@@ -546,18 +429,11 @@ impl Crossbar {
                     .expect("candidate VC must be nonempty");
                 debug_assert_eq!(flit.dest, out);
                 if eject(out, vc, &flit.req) {
-                    if self.inputs[cand].vcs[vc].len() == self.inputs[cand].capacity_per_vc {
-                        self.full_lanes -= 1;
-                    }
                     self.inputs[cand].vcs[vc].pop_front();
                     if self.inputs[cand].occupancy() == 0 {
                         self.busy_in[cand / 64] &= !(1 << (cand % 64));
                     }
                     self.occupancy -= 1;
-                    self.buffered[out * self.vc_mode.vc_count() + vc] -= 1;
-                    if !flit.req.kind.is_pim() {
-                        self.buffered_mem -= 1;
-                    }
                     self.inputs[cand].last_vc = vc;
                     self.grant_ptr[out] = (cand + 1) % n_in;
                     self.stats.ejected += 1;
@@ -615,7 +491,7 @@ mod tests {
     #[test]
     fn delivers_a_flit_end_to_end() {
         let mut x = Crossbar::new(4, 2, 8, VcMode::Shared);
-        x.try_inject(0, 2, mem_req(7, 2), 1).unwrap();
+        x.try_inject(2, mem_req(7, 2), 1).unwrap();
         let mut seen = Vec::new();
         x.step(0, |out, vc, req| {
             seen.push((out, vc, req.id.0));
@@ -629,7 +505,7 @@ mod tests {
     fn one_grant_per_output_per_cycle() {
         let mut x = Crossbar::new(4, 1, 8, VcMode::Shared);
         for i in 0..4 {
-            x.try_inject(0, i, mem_req(i as u64, i as u16), 0).unwrap();
+            x.try_inject(i, mem_req(i as u64, i as u16), 0).unwrap();
         }
         let mut count = 0;
         x.step(0, |_, _, _| {
@@ -646,7 +522,7 @@ mod tests {
         // Keep all inputs loaded; the output must serve them round-robin.
         for round in 0..9u64 {
             for i in 0..3 {
-                let _ = x.try_inject(0, i, mem_req(round * 3 + i as u64, i as u16), 0);
+                let _ = x.try_inject(i, mem_req(round * 3 + i as u64, i as u16), 0);
             }
         }
         let mut served = Vec::new();
@@ -663,7 +539,7 @@ mod tests {
     #[test]
     fn backpressure_keeps_flit_queued() {
         let mut x = Crossbar::new(1, 1, 8, VcMode::Shared);
-        x.try_inject(0, 0, mem_req(1, 0), 0).unwrap();
+        x.try_inject(0, mem_req(1, 0), 0).unwrap();
         x.step(0, |_, _, _| false);
         assert_eq!(x.total_occupancy(), 1, "refused flit must stay");
         let mut got = 0;
@@ -678,9 +554,9 @@ mod tests {
     #[test]
     fn full_vc_rejects_injection() {
         let mut x = Crossbar::new(1, 1, 2, VcMode::Shared);
-        x.try_inject(0, 0, mem_req(0, 0), 0).unwrap();
-        x.try_inject(0, 0, mem_req(1, 0), 0).unwrap();
-        assert!(x.try_inject(0, 0, mem_req(2, 0), 0).is_err());
+        x.try_inject(0, mem_req(0, 0), 0).unwrap();
+        x.try_inject(0, mem_req(1, 0), 0).unwrap();
+        assert!(x.try_inject(0, mem_req(2, 0), 0).is_err());
         assert!(!x.can_inject(0, false));
         assert_eq!(x.stats().inject_stalls, 1);
     }
@@ -690,19 +566,19 @@ mod tests {
         // VC2: fill the PIM VC completely; MEM injections must still work.
         let mut x = Crossbar::new(1, 1, 8, VcMode::SplitPim);
         for i in 0..4 {
-            x.try_inject(0, 0, pim_req(i, 0), 0).unwrap();
+            x.try_inject(0, pim_req(i, 0), 0).unwrap();
         }
         assert!(!x.can_inject(0, true), "PIM VC full");
         assert!(x.can_inject(0, false), "MEM VC unaffected");
-        x.try_inject(0, 0, mem_req(100, 0), 0).unwrap();
+        x.try_inject(0, mem_req(100, 0), 0).unwrap();
     }
 
     #[test]
     fn vc2_alternates_mem_and_pim_on_a_link() {
         let mut x = Crossbar::new(1, 1, 64, VcMode::SplitPim);
         for i in 0..4 {
-            x.try_inject(0, 0, pim_req(i, 0), 0).unwrap();
-            x.try_inject(0, 0, mem_req(100 + i, 0), 0).unwrap();
+            x.try_inject(0, pim_req(i, 0), 0).unwrap();
+            x.try_inject(0, mem_req(100 + i, 0), 0).unwrap();
         }
         let mut kinds = Vec::new();
         for cyc in 0..8 {
@@ -724,9 +600,9 @@ mod tests {
         // in the same FIFO deny it service while the MC ejection is slow.
         let mut x = Crossbar::new(1, 1, 16, VcMode::Shared);
         for i in 0..8 {
-            x.try_inject(0, 0, pim_req(i, 0), 0).unwrap();
+            x.try_inject(0, pim_req(i, 0), 0).unwrap();
         }
-        x.try_inject(0, 0, mem_req(100, 0), 0).unwrap();
+        x.try_inject(0, mem_req(100, 0), 0).unwrap();
         // Downstream accepts nothing (e.g. PIM queue full at the MC).
         for cyc in 0..4 {
             x.step(cyc, |_, _, req| !req.kind.is_pim());
@@ -744,8 +620,8 @@ mod tests {
         let mut two = Crossbar::new(2, 2, 64, VcMode::SplitPim).with_iterations(2);
         for x in [&mut one, &mut two] {
             for i in 0..2 {
-                x.try_inject(0, i, pim_req(i as u64, i as u16), 0).unwrap();
-                x.try_inject(0, i, mem_req(10 + i as u64, i as u16), 1)
+                x.try_inject(i, pim_req(i as u64, i as u16), 0).unwrap();
+                x.try_inject(i, mem_req(10 + i as u64, i as u16), 1)
                     .unwrap();
             }
         }
@@ -772,7 +648,7 @@ mod tests {
     #[test]
     fn occupancy_integral_accumulates() {
         let mut x = Crossbar::new(1, 1, 8, VcMode::Shared);
-        x.try_inject(0, 0, mem_req(0, 0), 0).unwrap();
+        x.try_inject(0, mem_req(0, 0), 0).unwrap();
         x.step(0, |_, _, _| false);
         x.step(1, |_, _, _| false);
         assert_eq!(x.stats().occupancy_integral, 2);
@@ -787,7 +663,7 @@ mod tests {
         let build = || {
             let mut x = Crossbar::new(3, 1, 8, VcMode::Shared);
             for i in 0..3 {
-                x.try_inject(0, i, mem_req(i as u64, 0), 0).unwrap();
+                x.try_inject(i, mem_req(i as u64, 0), 0).unwrap();
             }
             // One contended cycle leaves the output grant pointer mid-way.
             x.step(0, |_, _, _| true);
@@ -806,7 +682,7 @@ mod tests {
         assert_eq!(stepped.stats(), skipped.stats());
         for x in [&mut stepped, &mut skipped] {
             for i in 0..3 {
-                x.try_inject(0, i, mem_req(10 + i as u64, 0), 0).unwrap();
+                x.try_inject(i, mem_req(10 + i as u64, 0), 0).unwrap();
             }
         }
         let grant = |x: &mut Crossbar| {
@@ -827,7 +703,7 @@ mod tests {
     #[test]
     fn skip_quiet_span_refuses_buffered_flits() {
         let mut x = Crossbar::new(2, 1, 8, VcMode::Shared);
-        x.try_inject(0, 0, mem_req(1, 1), 0).unwrap();
+        x.try_inject(0, mem_req(1, 1), 0).unwrap();
         assert!(!x.skip_quiet_span(0, 5), "buffered flit blocks the skip");
         assert_eq!(x.total_occupancy(), 1, "refusal must not touch state");
     }

@@ -115,7 +115,7 @@ impl Component for IssueStage {
                 RequestKind::Pim(cmd) => cmd.channel as usize,
                 _ => ctx.mapper.decode(issued.addr).channel as usize,
             };
-            ctx.net.inject(now, sm, req, dest);
+            ctx.net.inject(sm, req, dest);
             kernel.icnt_injections += 1;
             let committed = ctx.inflight.insert(k, slot);
             debug_assert_eq!(committed, id);

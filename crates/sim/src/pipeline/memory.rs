@@ -103,17 +103,11 @@ pub struct MemoryStage {
     horizon: Vec<Cycle>,
     /// Which entries of `horizon` need recomputation.
     stale: Vec<bool>,
-    /// Eject batches staged since construction: +1 each time a
-    /// partition's staged-ingress schedule goes empty → non-empty
-    /// (DESIGN.md §4l).
-    eject_batches: u64,
-    /// Requests deposited through the staged (batched) eject path.
-    requests_batched: u64,
     /// Per-partition replay batches: one per catch-up that replayed at
     /// least one deferred stage visit on a partition not known idle.
     replay_batches: u64,
     /// Deferred stage visits replayed, summed over all batches. Divided
-    /// by `replay_batches` this is the mean deferral window — the §4k/§4l
+    /// by `replay_batches` this is the mean deferral window — the §4k
     /// headline metric.
     replayed_visits: u64,
     threads: usize,
@@ -139,8 +133,6 @@ impl MemoryStage {
             synced: vec![0; channels],
             horizon: vec![0; channels],
             stale: vec![true; channels],
-            eject_batches: 0,
-            requests_batched: 0,
             replay_batches: 0,
             replayed_visits: 0,
             threads: 1,
@@ -224,82 +216,9 @@ impl MemoryStage {
         p.replay_spans(&self.deferred[start..n], &self.mapper);
     }
 
-    /// Deposits a crossbar ejection into channel `c`'s staged-ingress
-    /// schedule, for delivery at GPU cycle `gpu_at` (DESIGN.md §4l).
-    /// Clears the idle memo — the partition now provably has future
-    /// work — and marks its cached horizon stale, but performs *no*
-    /// catch-up: the staged arrival stays invisible to the partition
-    /// until the stage visit for `gpu_at` is stepped or replayed.
-    pub fn stage_eject(
-        &mut self,
-        c: usize,
-        vc: usize,
-        req: Request,
-        gpu_at: Cycle,
-        dram_at: Cycle,
-    ) {
-        self.known_idle[c] = false;
-        self.stale[c] = true;
-        let p = self.partitions[c]
-            .as_deref_mut()
-            .expect("partition in slot");
-        if p.staged_len() == 0 {
-            self.eject_batches += 1;
-        }
-        self.requests_batched += 1;
-        p.stage_arrival(gpu_at, dram_at, vc, req);
-    }
-
-    /// Staged-but-undelivered crossbar ejections across all partitions.
-    /// The fast-forward probe counts these as request-path occupancy so
-    /// it never reports the network quiet while an eject batch is
-    /// pending.
-    pub fn staged_ejects(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.as_deref().expect("partition in slot").staged_len())
-            .sum()
-    }
-
-    /// Staged-but-undelivered crossbar ejections for channel `c` alone —
-    /// the request network's starvation probe: a lane short on credit
-    /// with staged arrivals outstanding is lagging, not backpressured.
-    pub fn staged_ejects_for(&self, c: usize) -> usize {
-        self.partitions[c]
-            .as_deref()
-            .expect("partition in slot")
-            .staged_len()
-    }
-
-    /// Free slots in channel `c`'s VC-`vc` ingress lane, net of staged
-    /// arrivals — the credit the request network checks before deferring
-    /// an arbitration cycle. Read-only by design: a partition lagging
-    /// behind the stage has lane occupancy at or above its live value
-    /// (replay only drains lanes), so it under-reports credit, which is
-    /// conservative-safe.
-    pub fn eject_credit(&self, c: usize, vc: usize) -> usize {
-        self.get(c).eject_credit(vc)
-    }
-
-    /// Lower bound on the completion cycle of any request arriving at
-    /// channel `c` at DRAM tick `at` (see
-    /// [`pimsim_core::MemoryController::arrival_bound`]). Read-only and
-    /// lag-sound: a partition behind the stage has a `plan_until` no
-    /// later than its live value, so the bound it reports is never above
-    /// the live one.
-    pub fn arrival_bound(&self, c: usize, at: Cycle) -> Cycle {
-        self.get(c).mc.arrival_bound(at)
-    }
-
-    /// Cumulative §4l batching counters: `(eject_batches,
-    /// requests_batched, replay_batches, replayed_visits)`.
-    pub fn batching_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.eject_batches,
-            self.requests_batched,
-            self.replay_batches,
-            self.replayed_visits,
-        )
+    /// Cumulative replay counters: `(replay_batches, replayed_visits)`.
+    pub fn replay_counters(&self) -> (u64, u64) {
+        (self.replay_batches, self.replayed_visits)
     }
 
     /// Discards fully-replayed history once every partition is current,
@@ -330,10 +249,10 @@ impl MemoryStage {
     /// timestamp stay invisible until DRAM time reaches them, so
     /// delivery order and cycle match the eager per-tick path exactly.
     ///
-    /// Ack production is *pull-driven* (DESIGN.md §4l): a partition
-    /// lagging behind the stage may not yet have produced acks that are
-    /// already due, so a lagging partition replays its share of the
-    /// deferred visits here, immediately before the read. The replay
+    /// Ack production is *pull-driven*: a partition lagging behind the
+    /// stage may not yet have produced acks that are already due, so a
+    /// lagging partition replays its share of the deferred visits here,
+    /// immediately before the read. The replay
     /// runs the exact live schedule, so the wires hold precisely the
     /// acks the eager path would already hold and the drained set is
     /// identical. This makes delivery demand — not per-issue completion
@@ -349,9 +268,7 @@ impl MemoryStage {
     /// bound clears `limit`, everything due is already in the wire and
     /// the lag keeps accumulating — this is what keeps consecutive
     /// delivery cycles (a throttled kernel draining its credit cap) from
-    /// shattering windows into single-visit replays. The caller must
-    /// stage pending crossbar ejections (`RequestNet::flush_into`)
-    /// first, like every other catch-up entry point.
+    /// shattering windows into single-visit replays.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
         let n = self.deferred.len();
         for c in 0..self.partitions.len() {
@@ -529,7 +446,17 @@ impl MemoryStage {
     /// eject through [`MemoryStage::partition_mut`]); a deferral itself
     /// mutates nothing, so back-to-back quiet cycles re-check against
     /// cached values only.
+    ///
+    /// A refusal from a *lagging* partition gets a second chance: its
+    /// horizon is frozen at its last sync point — typically a burst plan
+    /// long since succeeded by the next one — so it says nothing about
+    /// the live schedule. Replaying just that partition's visits (through
+    /// the exact live code paths) forms the successor plan and usually
+    /// re-opens the window, keeping one stale horizon from ending
+    /// deferral for all partitions. `false` means some *current*
+    /// partition genuinely needs its visit stepped live.
     pub fn can_defer_through(&mut self, end: Cycle) -> bool {
+        let n = self.deferred.len();
         for c in 0..self.partitions.len() {
             if self.known_idle[c] {
                 continue;
@@ -548,52 +475,14 @@ impl MemoryStage {
             // `0` refuses outright: a partition needing live service
             // needs its GPU cycle even when the span carries zero DRAM
             // ticks.
-            if self.horizon[c] == 0 || end > self.horizon[c] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Second-chance deferral check: catches up any *lagging* partition
-    /// whose cached horizon refuses the window ending at `end`, then
-    /// re-evaluates. A partition that lags the stage reports a horizon
-    /// frozen at its last sync point — typically a burst plan that has
-    /// long since been succeeded by the next one — so a refusal from it
-    /// says nothing about the live schedule. Replaying just that
-    /// partition's visits (through the exact live code paths) forms the
-    /// successor plan and usually re-opens the window, keeping one stale
-    /// horizon from ending deferral for all partitions (DESIGN.md §4l).
-    ///
-    /// The caller must flush the request network first: catch-up replays
-    /// visits past every deferred ejection's grant cycle, so those
-    /// ejections must already be staged.
-    ///
-    /// Returns `true` when every partition's refreshed horizon covers
-    /// `end`; `false` means some *current* partition genuinely needs its
-    /// visit stepped live.
-    pub fn refresh_lagging_through(&mut self, end: Cycle) -> bool {
-        let n = self.deferred.len();
-        for c in 0..self.partitions.len() {
-            if self.known_idle[c] {
-                continue;
-            }
-            if self.stale[c] {
-                let from = match self.deferred.get(self.synced[c]) {
-                    Some(&(_, first, _)) => first,
-                    None => self.dram_upto,
-                };
-                let p = self.partitions[c].as_deref().expect("partition in slot");
-                self.horizon[c] = p.bulk_horizon(from).unwrap_or(0);
-                self.stale[c] = false;
-            }
-            if (self.horizon[c] == 0 || end > self.horizon[c]) && self.synced[c] < n {
+            let refuses = |h: Cycle| h == 0 || end > h;
+            if refuses(self.horizon[c]) && self.synced[c] < n {
                 self.catch_up_partition(c);
                 let p = self.partitions[c].as_deref().expect("partition in slot");
                 self.horizon[c] = p.bulk_horizon(self.dram_upto).unwrap_or(0);
                 self.stale[c] = false;
             }
-            if self.horizon[c] == 0 || end > self.horizon[c] {
+            if refuses(self.horizon[c]) {
                 return false;
             }
         }

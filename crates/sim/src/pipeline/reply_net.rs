@@ -86,7 +86,7 @@ impl Component for ReplyNet {
                 if self.xbar.can_inject(c, false) {
                     let rep = p.reply_mut().recv().expect("peeked");
                     self.xbar
-                        .try_inject(now, c, rep, dest)
+                        .try_inject(c, rep, dest)
                         .expect("capacity checked");
                 } else {
                     break;

@@ -15,10 +15,10 @@
 #                                 a baseline built from an earlier commit
 #                                 in a scratch worktree)
 #   scenarios                     comma-separated hotloop scenario names
-#                                 (default standalone_pim). Every run
-#                                 executes all scenarios anyway, so extra
-#                                 names cost nothing — the rates are pulled
-#                                 from the same JSON.
+#                                 (default: all six). Every run executes
+#                                 all scenarios anyway, so extra names cost
+#                                 nothing — the rates are pulled from the
+#                                 same JSON.
 #   pairs                         alternating A/B pairs, N (default 5)
 #   reps                          best-of reps per run, M (default 3)
 #
@@ -32,7 +32,7 @@ if [ $# -lt 2 ]; then
 fi
 A_BIN=$1
 B_BIN=$2
-SCENARIOS=${3:-standalone_pim}
+SCENARIOS=${3:-standalone_mem,standalone_pim,standalone_pim_lp5x,sparse_pim,sparse_pim_lp5x,coexec_f3fs}
 PAIRS=${4:-5}
 REPS=${5:-3}
 IFS=',' read -r -a SCENARIO_LIST <<<"$SCENARIOS"

@@ -61,6 +61,17 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 
+# Guard for the repository benchmark (pimbench/, its own workspace that
+# builds against the simulator crates by path): its unit tests must pass,
+# and one short seed-0 pass of each workload must report every job
+# correct against pimbench/expected/. An API break or an outcome drift
+# that would sink the benchmark fails here first.
+cargo test -q --offline --manifest-path pimbench/Cargo.toml
+for workload in mem_solo pim_solo coexec_sweep; do
+  bash pimbench/run.sh --workload "$workload" --seed 0 --seconds 1 --trace 0 \
+    | tail -1 | grep '"correct": true' >/dev/null
+done
+
 # Opt-in slow pass: the two #[ignore]d long-horizon experiment tests
 # (full QKV collaborative run, PIM-corunner interference sweep). They
 # validate paper-level conclusions rather than mechanisms, so they ride

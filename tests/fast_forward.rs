@@ -308,83 +308,6 @@ fn ack_batching_matches_per_tick_oracle() {
     }
 }
 
-/// Oracle property for timestamped eject batching (DESIGN.md §4l): with
-/// batching on (the default) whole request-crossbar arbitration cycles
-/// are deferred while every buffered flit is PIM with provable
-/// destination credit, then replayed at the next flush into the
-/// partitions' staged-ingress schedules; with it off every arbitration
-/// cycle runs eagerly and ejects through the per-eject catch-up path
-/// (the eager oracle). Every observable — total cycles, injections,
-/// merged controller stats — must be bit-identical across the two
-/// modes, on both DRAM backends, in both fast-forward modes, and with
-/// ack batching both on (the §4k/§4l composition that ships) and off
-/// (eject batching alone, every memory cycle stepped live through the
-/// flush-before-step path).
-#[test]
-fn eject_batching_matches_per_tick_oracle() {
-    let lp5x = {
-        let kind = pim_coscheduling::dram::backend::parse_spec("lp5x:ranks=4")
-            .expect("registered backend");
-        pim_coscheduling::dram::backend::system_config(kind)
-    };
-    for (backend, cfg) in [("hbm", SystemConfig::default()), ("lp5x", lp5x)] {
-        let pim = |ff: bool, acks: bool, ejects: bool| {
-            let mut r = Runner::new(cfg.clone(), PolicyKind::FrFcfs);
-            r.max_gpu_cycles = BUDGET;
-            r.fast_forward = ff;
-            r.ack_batching = acks;
-            r.eject_batching = ejects;
-            r.standalone(
-                Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-                0,
-                true,
-            )
-            .expect("finishes")
-        };
-        let eager = pim(false, false, false);
-        for ff in [false, true] {
-            for acks in [false, true] {
-                let ctx = format!("pim/{backend}/ff={ff}/acks={acks}/ejects=true");
-                let got = pim(ff, acks, true);
-                assert_eq!(got.cycles, eager.cycles, "{ctx}: total cycles");
-                assert_eq!(
-                    got.icnt_injections, eager.icnt_injections,
-                    "{ctx}: injections"
-                );
-                assert_mc_identical(&got.mc, &eager.mc, &ctx);
-            }
-        }
-
-        // Co-execution: MEM flits force per-cycle fallbacks mid-stream,
-        // and ejects land on partitions whose deferred spans are replayed
-        // around the staged arrivals — the flush ordering under maximum
-        // churn.
-        let co = |ff: bool, acks: bool, ejects: bool| {
-            let mut r = Runner::new(cfg.clone(), PolicyKind::f3fs_competitive());
-            r.max_gpu_cycles = BUDGET;
-            r.fast_forward = ff;
-            r.ack_batching = acks;
-            r.eject_batching = ejects;
-            r.coexec(
-                Box::new(gpu_kernel(GpuBenchmark(8), 16, SCALE)),
-                Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, SCALE)),
-                true,
-            )
-        };
-        let eager = co(false, false, false);
-        for ff in [false, true] {
-            for acks in [false, true] {
-                let ctx = format!("coexec/{backend}/ff={ff}/acks={acks}/ejects=true");
-                let got = co(ff, acks, true);
-                assert_eq!(got.gpu_first_run, eager.gpu_first_run, "{ctx}: gpu first");
-                assert_eq!(got.pim_first_run, eager.pim_first_run, "{ctx}: pim first");
-                assert_eq!(got.total_cycles, eager.total_cycles, "{ctx}: total cycles");
-                assert_mc_identical(&got.mc, &eager.mc, &ctx);
-            }
-        }
-    }
-}
-
 #[test]
 fn determinism_holds_through_parallel_map() {
     // The same configuration dispatched twice through the sweep machinery

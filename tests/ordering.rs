@@ -26,7 +26,7 @@ fn crossbar_preserves_per_source_order_to_each_output() {
                 src,
                 0,
             );
-            if x.try_inject(0, src as usize, req, dest).is_ok() {
+            if x.try_inject(src as usize, req, dest).is_ok() {
                 injected.push((src, dest, id));
             }
             id += 1;

@@ -154,7 +154,7 @@ fn crossbar_conserves_flits() {
                 src as u16,
                 0,
             );
-            if x.try_inject(0, src, req, dest).is_ok() {
+            if x.try_inject(src, req, dest).is_ok() {
                 injected += 1;
             }
         }
