@@ -123,9 +123,9 @@ fn coexec_f3fs(ff: bool) -> u64 {
 /// from the throughput reps because the timer reads themselves cost
 /// real time on the fastest scenarios. The pass runs the production
 /// configuration (fast-forward, stall memo, and burst retirement all
-/// on), so its merged step mix and fast-forward skip counters are also
-/// harvested here.
-fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64, u64) {
+/// on), so its merged step mix, fast-forward skip counters and issue
+/// polls are also harvested here.
+fn profile_scenario(name: &str) -> Profiled {
     let mut sim = Simulator::new(
         config_for(name),
         match name {
@@ -164,16 +164,34 @@ fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64, u64) {
         }
         other => unreachable!("unknown scenario {other}"),
     }
-    let prof = *sim.stage_profile().expect("profiling was enabled");
-    let (skips, skipped) = sim.fast_forward_stats();
-    (
-        prof,
-        sim.merged_step_mix(),
-        skips,
-        skipped,
-        sim.gpu_cycles(),
-    )
+    let (ff_skips, ff_skipped) = sim.fast_forward_stats();
+    Profiled {
+        prof: *sim.stage_profile().expect("profiling was enabled"),
+        mix: sim.merged_step_mix(),
+        ff_skips,
+        ff_skipped,
+        total_cycles: sim.gpu_cycles(),
+        issue_polls: sim.issue_polls(),
+    }
 }
+
+/// What one profiled pass harvests.
+struct Profiled {
+    prof: StageProfile,
+    mix: StepMix,
+    ff_skips: u64,
+    ff_skipped: u64,
+    total_cycles: u64,
+    /// Kernel polls (`try_issue` calls) by the issue stage.
+    issue_polls: u64,
+}
+
+/// Poll-rate gate of the event-driven issue stage (DESIGN.md §4m):
+/// the most kernel polls per stepped cycle each gated scenario may
+/// make. Polling every mounted SM every cycle costs 8 (standalone MEM)
+/// and 80 (co-execution) polls per cycle; the hinted stage makes well
+/// under half of these bounds.
+const MAX_POLLS_PER_CYCLE: [(&str, f64); 2] = [("standalone_mem", 1.0), ("coexec_f3fs", 24.0)];
 
 /// `reps` timed passes: returns the (identical) simulated cycle count and
 /// every raw rate in simulated cycles per wall second.
@@ -279,7 +297,26 @@ fn main() {
             fmt_rates(&rates_off),
             median(&rates_off)
         );
-        let (prof, mix, ff_skips, ff_skipped, total_cycles) = profile_scenario(name);
+        let Profiled {
+            prof,
+            mix,
+            ff_skips,
+            ff_skipped,
+            total_cycles,
+            issue_polls,
+        } = profile_scenario(name);
+        let polls_per_cycle = issue_polls as f64 / prof.stepped_cycles.max(1) as f64;
+        // Deterministic, so immune to host noise: a rate above the bound
+        // means the issue stage fell back to polling sleeping SMs.
+        if let Some(&(_, bound)) = MAX_POLLS_PER_CYCLE.iter().find(|(n, _)| *n == name) {
+            assert!(
+                polls_per_cycle <= bound,
+                "{name}: issue stage made {issue_polls} kernel polls over {} stepped \
+                 cycles ({polls_per_cycle:.2}/cycle > {bound}); event-driven issue \
+                 should keep sleeping SMs unpolled",
+                prof.stepped_cycles
+            );
+        }
         // Fast-forward regression gate. When the scenario gives the skip
         // path real work (>5% of GPU cycles jumped over), on must beat
         // off. When it does not — PIM-heavy scenarios keep the inflight
@@ -383,6 +420,10 @@ fn main() {
             mix.ticks_completion,
             mix.completions_delivered
         );
+        println!(
+            "  {:16} issue: {issue_polls} kernel polls ({polls_per_cycle:.2} per stepped cycle)",
+            ""
+        );
         let window = mix.mean_deferral_window().unwrap_or(0.0);
         println!(
             "  {:16} batching: {} retire batches / {} acks batched / {} plan spans replayed / mean deferral window {:.1} ({} visits over {} replays)",
@@ -428,6 +469,8 @@ fn main() {
                 "        \"ticks_completion\": {},\n",
                 "        \"completions_delivered\": {}\n",
                 "      }},\n",
+                "      \"issue_polls\": {},\n",
+                "      \"issue_polls_per_stepped_cycle\": {:.3},\n",
                 "      \"fast_forward\": {{\n",
                 "        \"skips\": {},\n",
                 "        \"skipped_gpu_cycles\": {}\n",
@@ -467,6 +510,8 @@ fn main() {
             mix.ticks_reply_net,
             mix.ticks_completion,
             mix.completions_delivered,
+            issue_polls,
+            polls_per_cycle,
             ff_skips,
             ff_skipped,
             prof.stepped_cycles,

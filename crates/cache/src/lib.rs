@@ -35,13 +35,13 @@ pub enum AccessOutcome {
     Blocked,
 }
 
-/// A line installed in the tag store.
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    last_used: u64,
-}
+/// Way-state flag: the way holds a line. An all-zero state word is an
+/// invalid way, so a fresh tag store is a zeroed allocation.
+const VALID: u64 = 1;
+/// Way-state flag: the line is dirty (written since its fill).
+const DIRTY: u64 = 2;
+/// The LRU stamp sits above the two flag bits.
+const STAMP_SHIFT: u32 = 2;
 
 /// An outstanding miss.
 #[derive(Debug, Clone)]
@@ -85,7 +85,13 @@ pub struct CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheSlice {
-    sets: Vec<Vec<Option<Line>>>,
+    /// Tags, set-major: way `w` of set `s` is entry `s * ways + w`
+    /// (meaningful only where `state` marks the way valid).
+    tags: Vec<u64>,
+    /// Way state, laid out like `tags`: `(last_used << STAMP_SHIFT) |
+    /// DIRTY? | VALID`, or 0 for an invalid way.
+    state: Vec<u64>,
+    ways: usize,
     line_bytes: u64,
     num_sets: u64,
     mshrs: Vec<Mshr>,
@@ -105,8 +111,11 @@ impl CacheSlice {
         let slice_bytes = cfg.total_bytes / num_slices;
         let num_sets = slice_bytes / (cfg.line_bytes * cfg.ways);
         assert!(num_sets > 0, "cache slice too small for one set");
+        let entries = num_sets * cfg.ways;
         CacheSlice {
-            sets: (0..num_sets).map(|_| vec![None; cfg.ways]).collect(),
+            tags: vec![0; entries],
+            state: vec![0; entries],
+            ways: cfg.ways,
             line_bytes: cfg.line_bytes as u64,
             num_sets: num_sets as u64,
             mshrs: Vec::new(),
@@ -129,6 +138,11 @@ impl CacheSlice {
 
     fn set_index(&self, line: u64) -> usize {
         ((line / self.line_bytes) % self.num_sets) as usize
+    }
+
+    /// Index range of set `set`'s ways in the tag store.
+    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.ways..(set + 1) * self.ways
     }
 
     fn tag(&self, line: u64) -> u64 {
@@ -161,15 +175,17 @@ impl CacheSlice {
         let tag = self.tag(line);
         self.use_clock += 1;
         let clock = self.use_clock;
-        if let Some(way) = self.sets[set]
-            .iter()
-            .position(|l| l.is_some_and(|l| l.tag == tag))
+        let ways = self.ways_of(set);
+        if let Some(i) = ways
+            .into_iter()
+            .find(|&i| self.tags[i] == tag && self.state[i] & VALID != 0)
         {
-            let l = self.sets[set][way].as_mut().expect("just matched");
-            l.last_used = clock;
-            if req.kind == RequestKind::MemWrite {
-                l.dirty = true;
-            }
+            let dirty = if req.kind == RequestKind::MemWrite {
+                DIRTY
+            } else {
+                self.state[i] & DIRTY
+            };
+            self.state[i] = (clock << STAMP_SHIFT) | dirty | VALID;
             self.stats.hits += 1;
             return AccessOutcome::Hit;
         }
@@ -210,31 +226,23 @@ impl CacheSlice {
         let tag = self.tag(line.0);
         self.use_clock += 1;
         let clock = self.use_clock;
-        // Choose a victim: an invalid way, else LRU.
-        let way = self.sets[set]
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or_else(|| {
-                self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.expect("no invalid ways left").last_used)
-                    .map(|(i, _)| i)
-                    .expect("ways > 0")
-            });
-        let victim = self.sets[set][way];
-        let writeback = victim.and_then(|v| {
-            v.dirty.then(|| {
-                self.stats.writebacks += 1;
-                // Reconstruct the victim's line address from its tag.
-                PhysAddr((v.tag * self.num_sets + set as u64) * self.line_bytes)
-            })
+        // Choose a victim: the first invalid way, else the LRU way (the
+        // first of equal stamps).
+        let ways = self.ways_of(set);
+        let i = match ways.clone().find(|&i| self.state[i] & VALID == 0) {
+            Some(i) => i,
+            None => ways
+                .min_by_key(|&i| self.state[i] >> STAMP_SHIFT)
+                .expect("ways > 0"),
+        };
+        let writeback = (self.state[i] & DIRTY != 0).then(|| {
+            self.stats.writebacks += 1;
+            // Reconstruct the victim's line address from its tag.
+            PhysAddr((self.tags[i] * self.num_sets + set as u64) * self.line_bytes)
         });
-        self.sets[set][way] = Some(Line {
-            tag,
-            dirty: mshr.any_write,
-            last_used: clock,
-        });
+        let dirty = if mshr.any_write { DIRTY } else { 0 };
+        self.tags[i] = tag;
+        self.state[i] = (clock << STAMP_SHIFT) | dirty | VALID;
         (mshr.waiters, writeback)
     }
 }

@@ -17,7 +17,8 @@ pub struct IssuedRequest {
 ///
 /// The simulator drives each SM slot independently:
 ///
-/// 1. every GPU cycle, for each slot with injection capacity, it calls
+/// 1. every GPU cycle, for each slot with injection capacity that is not
+///    asleep until a later [`KernelModel::next_issue_cycle`], it calls
 ///    [`KernelModel::try_issue`] with the [`RequestId`] the request will
 ///    carry;
 /// 2. when the memory system acknowledges a request, it calls
@@ -69,6 +70,25 @@ pub trait KernelModel: Send {
     /// issue is **unsound** and will desynchronize the fast-forward and
     /// lock-step schedules. The default is the conservative `Some(now)`.
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
+        Some(now)
+    }
+
+    /// The earliest GPU cycle at or after `now` at which `slot` *could*
+    /// produce a request, or `None` if it cannot until a completion to
+    /// that slot or a [`KernelModel::reset`].
+    ///
+    /// This is the per-slot hook the event-driven issue stage sleeps on:
+    /// it stops polling `slot` until the returned cycle, and wakes it
+    /// early when a completion retires to the slot or the kernel
+    /// restarts.
+    ///
+    /// Contract: a *lower bound*. Unless a completion to `slot` or a
+    /// reset comes first, `try_issue(slot, t, _)` must return `None`,
+    /// with no side effect, for every `t` in `now..returned` (for every
+    /// `t >= now` when `None` is returned). `Some(now)` is always sound
+    /// and is the default: an unknown model is polled every cycle.
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        let _ = slot;
         Some(now)
     }
 

@@ -305,6 +305,16 @@ impl KernelModel for PimKernelModel {
         self.warps.iter().any(|w| !w.done_issuing).then_some(now)
     }
 
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        // `try_issue` takes the first ready warp of the slot; with none
+        // ready, only an ack to one of them (or a reset) changes that.
+        let base = slot * self.warps_per_slot;
+        self.warps[base..base + self.warps_per_slot]
+            .iter()
+            .any(|w| !w.done_issuing && w.outstanding < self.max_outstanding)
+            .then_some(now)
+    }
+
     fn wants_completions(&self, _now: Cycle) -> bool {
         // Throttle wake: a warp at its credit cap would issue the moment
         // an ack lands. Completion tail: with everything issued, `is_done`

@@ -285,6 +285,13 @@ impl KernelModel for SyntheticGpuKernel {
             .map(|s| s.next_ready.max(now))
             .min()
     }
+
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        // Completions never gate a synthetic slot: only its pacing stamp
+        // and its remaining work do.
+        let s = &self.slots[slot];
+        (s.remaining > 0).then(|| s.next_ready.max(now))
+    }
 }
 
 #[cfg(test)]

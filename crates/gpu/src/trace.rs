@@ -208,6 +208,10 @@ impl KernelModel for TraceRecorder {
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
         self.inner.next_activity_cycle(now)
     }
+
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        self.inner.next_issue_cycle(slot, now)
+    }
 }
 
 /// Replays a recorded MEM trace as a kernel model.
@@ -309,6 +313,10 @@ impl KernelModel for TraceKernel {
             .filter_map(|q| q.front())
             .map(|r| r.cycle.max(now))
             .min()
+    }
+
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        self.slots[slot].front().map(|r| r.cycle.max(now))
     }
 }
 

@@ -244,9 +244,13 @@ impl CompletionStage {
         };
         let kernel = &mut kernels[k];
         kernel.model.on_complete(slot, req.id, now);
+        let sm = kernel.sms[slot];
         if !kernel.is_pim {
-            issue.credit_return(kernel.sms[slot]);
+            issue.credit_return(sm);
         }
+        // A completion may make the slot issuable before the cycle it
+        // last reported (`KernelModel::next_issue_cycle`).
+        issue.wake(sm);
         true
     }
 }

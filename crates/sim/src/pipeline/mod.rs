@@ -74,8 +74,8 @@ impl std::fmt::Debug for MountedKernel {
 }
 
 /// End-of-cycle kernel bookkeeping: records first-run times and restarts
-/// looping kernels.
-pub fn check_kernel_completion(kernels: &mut [MountedKernel], now: Cycle) {
+/// looping kernels, waking a restarted kernel's SMs in the issue stage.
+pub fn check_kernel_completion(kernels: &mut [MountedKernel], issue: &mut IssueStage, now: Cycle) {
     for kernel in kernels {
         if !kernel.model.is_done() {
             continue;
@@ -88,6 +88,9 @@ pub fn check_kernel_completion(kernels: &mut [MountedKernel], now: Cycle) {
             kernel.runs += 1;
             kernel.model.reset();
             kernel.run_started = now + 1;
+            for &sm in &kernel.sms {
+                issue.wake(sm);
+            }
         } else if kernel.first_run_cycles.is_none() {
             kernel.first_run_cycles = Some(now + 1 - kernel.run_started);
             kernel.runs = 1;

@@ -277,6 +277,15 @@ impl Simulator {
         (self.skips, self.skipped_cycles)
     }
 
+    /// Kernel polls so far: `try_issue` calls the issue stage made. A
+    /// deterministic work counter for the event-driven issue stage
+    /// (DESIGN.md §4m); kept out of [`pimsim_core::StepMix`] because a
+    /// kernel wrapper that does not forward
+    /// [`KernelModel::next_issue_cycle`] legitimately polls every cycle.
+    pub fn issue_polls(&self) -> u64 {
+        self.issue.polls()
+    }
+
     /// Kernel completions retired so far (PIM acks + MEM replies).
     pub(crate) fn completion_stage_delivered(&self) -> u64 {
         self.completion.delivered()
@@ -499,7 +508,7 @@ impl Simulator {
         }
 
         // 7. Kernel completion / restart bookkeeping.
-        check_kernel_completion(&mut self.kernels, now);
+        check_kernel_completion(&mut self.kernels, &mut self.issue, now);
         Self::lap(&mut mark, &mut prof, |p| &mut p.completion_ns);
 
         self.clock.finish_gpu_cycle();

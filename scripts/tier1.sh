@@ -27,9 +27,14 @@ cargo clippy --all-targets --workspace -- -D warnings
 # the per-backend golden pass: it checks the HBM matrix against
 # tests/fixtures/golden_pipeline.json (byte-identical across the
 # multi-backend refactor) AND the LP5X matrix against
-# tests/fixtures/golden_lp5x.json (DESIGN.md §4j).
-PIMSIM_THREADS=1 cargo test -q --release --test golden_pipeline --test parallel_equivalence
-PIMSIM_THREADS=4 cargo test -q --release --test golden_pipeline --test parallel_equivalence
+# tests/fixtures/golden_lp5x.json (DESIGN.md §4j). The issue_oracle
+# binary races the event-driven issue stage against always-poll kernels
+# over the same matrix plus restart- and credit-driven wake cases
+# (DESIGN.md §4m).
+PIMSIM_THREADS=1 cargo test -q --release --test golden_pipeline --test parallel_equivalence \
+  --test issue_oracle
+PIMSIM_THREADS=4 cargo test -q --release --test golden_pipeline --test parallel_equivalence \
+  --test issue_oracle
 
 # Backend-registry smoke (DESIGN.md §4j): both registries must round-trip
 # names and agree on the error dialect, every registered backend must be
@@ -56,8 +61,11 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # disengages: on both standalone PIM scenarios (HBM and lp5x:ranks=4)
 # the memory stage must run at least 3x fewer ticks than stepped cycles
 # and at least one ack must travel in a retire-time batch (DESIGN.md
-# §4k). Tick counts are deterministic, so those gates are structural —
-# immune to host noise.
+# §4k), or if event-driven issue disengages: kernel polls per stepped
+# cycle on standalone_mem and coexec_f3fs must stay under bounds the
+# committed BENCH_hotloop.json values clear by at least 2x (DESIGN.md
+# §4m). Tick and poll counts are deterministic, so those gates are
+# structural — immune to host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 

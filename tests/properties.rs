@@ -1,14 +1,19 @@
 //! Property-style tests on the core substrates: the address mapper
 //! bijection, DRAM timing legality under arbitrary request streams,
-//! crossbar conservation, and policy sanity under arbitrary queue
-//! contents. Inputs are drawn from the workspace's deterministic PRNG
-//! (`pimsim_types::rng::SplitMix64`), so every case is reproducible from
-//! the loop seed printed in an assertion message.
+//! crossbar conservation, policy sanity under arbitrary queue contents,
+//! and the kernel models' issue hints. Inputs are drawn from the
+//! workspace's deterministic PRNG (`pimsim_types::rng::SplitMix64`), so
+//! every case is reproducible from the loop seed printed in an
+//! assertion message.
 
 use pim_coscheduling::core::policy::{PolicyKind, PolicyView};
 use pim_coscheduling::core::queue::QueuedRequest;
 use pim_coscheduling::core::MemoryController;
 use pim_coscheduling::dram::{AddressMapper, Channel, DramCommand};
+use pim_coscheduling::gpu::{
+    GpuKernelParams, KernelModel, PimKernelModel, PimKernelSpec, PimPhase, SyntheticGpuKernel,
+    TraceKernel, TraceRecord, TraceRecorder,
+};
 use pim_coscheduling::noc::Crossbar;
 use pim_coscheduling::types::rng::SplitMix64;
 use pim_coscheduling::types::{
@@ -733,4 +738,191 @@ fn controller_conserves_arbitrary_mixes() {
             policy.label()
         );
     }
+}
+
+/// Issue stage as the property sees it: one random kernel model, a
+/// shadow built identically, and (PIM only) the geometry the "asleep
+/// only at cap or done" check needs.
+struct IssueCase {
+    make: Box<dyn Fn() -> Box<dyn KernelModel>>,
+    /// `(warps per slot, per-warp outstanding cap, ops per warp per run)`.
+    pim: Option<(usize, u32, u64)>,
+}
+
+fn random_pim_spec(rng: &mut SplitMix64) -> (PimKernelSpec, usize, usize, u32) {
+    let slots = 1 + rng.next_range(3) as usize;
+    let warps_per_slot = 1 + rng.next_range(3) as usize;
+    let cap = 1 + rng.next_range(5) as u32;
+    let spec = PimKernelSpec {
+        name: "prop-pim".into(),
+        pattern: vec![PimPhase::Load, PimPhase::Compute, PimPhase::Store],
+        ops_per_block: 1 + rng.next_range(6) as u32,
+        blocks_per_channel: 1 + rng.next_range(5),
+        channels: slots * warps_per_slot,
+        rf_entries_per_bank: 8,
+        max_row: 64,
+    };
+    (spec, slots, warps_per_slot, cap)
+}
+
+fn random_issue_case(kind: u64, rng: &mut SplitMix64) -> IssueCase {
+    match kind {
+        0 => {
+            let params = GpuKernelParams {
+                name: "prop-mem".into(),
+                total_requests: 1 + rng.next_range(120),
+                issue_interval: 1 + rng.next_range(24),
+                read_fraction: 0.7,
+                footprint_bytes: 1 << 16,
+                row_locality: 0.5,
+                l2_reuse: 0.2,
+                streams_per_slot: 1 + rng.next_range(3) as usize,
+                seed: rng.next_u64(),
+            };
+            let slots = 1 + rng.next_range(4) as usize;
+            IssueCase {
+                make: Box::new(move || Box::new(SyntheticGpuKernel::new(params.clone(), slots))),
+                pim: None,
+            }
+        }
+        1 => {
+            let slots = 1 + rng.next_range(4) as usize;
+            let mut records = Vec::new();
+            for slot in 0..slots as u32 {
+                let mut cycle = 0;
+                for _ in 0..rng.next_range(16) {
+                    cycle += rng.next_range(30);
+                    records.push(TraceRecord {
+                        slot,
+                        cycle,
+                        kind: RequestKind::MemRead,
+                        addr: rng.next_range(1 << 20) & !31,
+                    });
+                }
+            }
+            IssueCase {
+                make: Box::new(move || {
+                    Box::new(TraceKernel::new("prop-trace", slots, records.clone()))
+                }),
+                pim: None,
+            }
+        }
+        _ => {
+            let (spec, slots, warps_per_slot, cap) = random_pim_spec(rng);
+            let per_warp = spec.blocks_per_channel * u64::from(spec.ops_per_block);
+            // Kind 3 checks that the recorder forwards the hint.
+            let recorded = kind == 3;
+            IssueCase {
+                make: Box::new(move || {
+                    let k = PimKernelModel::new(spec.clone(), slots, warps_per_slot, cap);
+                    if recorded {
+                        Box::new(TraceRecorder::new(Box::new(k)))
+                    } else {
+                        Box::new(k)
+                    }
+                }),
+                pim: Some((warps_per_slot, cap, per_warp)),
+            }
+        }
+    }
+}
+
+/// `KernelModel::next_issue_cycle` is a lower bound for all four kernel
+/// models (synthetic, trace replay, PIM, and the trace recorder over a
+/// PIM kernel): at every cycle in `[now, hint)` — every probed cycle
+/// when the hint is `None` — `try_issue` on an identically driven
+/// shadow model returns `None`, and the probes leave the shadow in
+/// lock-step with the model (no side effect). A PIM slot may report
+/// `None` only with every warp of the slot at its cap or done. The
+/// test loop issues, retires random subsets of outstanding requests, and
+/// restarts finished kernels, as the simulator does.
+#[test]
+fn issue_hints_are_lower_bounds() {
+    const CYCLES: u64 = 800;
+    const PROBE: u64 = 64;
+    let mut rng = SplitMix64::new(0x1551E);
+    let (mut asleep_until, mut asleep_forever, mut restarts) = (0u64, 0u64, 0u64);
+    for case in 0..64u64 {
+        let kind = case % 4;
+        let IssueCase { make, pim } = random_issue_case(kind, &mut rng);
+        let (mut model, mut shadow) = (make(), make());
+        let slots = model.num_slots();
+        // PIM only: per-warp (outstanding, issued this run), by channel.
+        let mut warps = vec![(0u32, 0u64); pim.map_or(0, |(w, _, _)| slots * w)];
+        let mut pending: Vec<(usize, RequestId, usize)> = Vec::new();
+        let mut next_id = 0u64;
+        for now in 0..CYCLES {
+            for slot in 0..slots {
+                let hint = model.next_issue_cycle(slot, now);
+                let ctx = format!("case {case} (kind {kind}) slot {slot} at {now}");
+                assert_eq!(hint, shadow.next_issue_cycle(slot, now), "{ctx}");
+                match hint {
+                    Some(h) if h > now => asleep_until += 1,
+                    Some(h) => assert_eq!(h, now, "{ctx}: hint in the past"),
+                    None => asleep_forever += 1,
+                }
+                let end = hint.map_or(now + PROBE, |h| h.min(now + PROBE));
+                for t in now..end {
+                    let probe = shadow.try_issue(slot, t, RequestId(next_id));
+                    assert!(probe.is_none(), "{ctx}: issued at {t} before hint {hint:?}");
+                }
+                if let (None, Some((per_slot, cap, per_warp))) = (hint, pim) {
+                    for (w, &(out, issued)) in warps
+                        .iter()
+                        .enumerate()
+                        .skip(slot * per_slot)
+                        .take(per_slot)
+                    {
+                        assert!(
+                            out == cap || issued == per_warp,
+                            "{ctx}: asleep with warp {w} ready ({out}/{cap} outstanding, {issued}/{per_warp} issued)"
+                        );
+                    }
+                }
+                // Some polls are skipped, as for a crossbar-full SM.
+                if rng.chance(0.2) {
+                    continue;
+                }
+                let id = RequestId(next_id);
+                let issued = model.try_issue(slot, now, id);
+                assert_eq!(
+                    issued,
+                    shadow.try_issue(slot, now, id),
+                    "{ctx}: probes had a side effect"
+                );
+                if let Some(r) = issued {
+                    next_id += 1;
+                    let warp = r.kind.pim().map_or(0, |c| usize::from(c.channel));
+                    if pim.is_some() {
+                        warps[warp].0 += 1;
+                        warps[warp].1 += 1;
+                    }
+                    pending.push((slot, id, warp));
+                }
+            }
+            let mut i = 0;
+            while i < pending.len() {
+                if rng.chance(0.3) {
+                    let (slot, id, warp) = pending.swap_remove(i);
+                    model.on_complete(slot, id, now);
+                    shadow.on_complete(slot, id, now);
+                    if pim.is_some() {
+                        warps[warp].0 -= 1;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            assert_eq!(model.is_done(), shadow.is_done(), "case {case} at {now}");
+            if model.is_done() {
+                model.reset();
+                shadow.reset();
+                warps.iter_mut().for_each(|w| *w = (0, 0));
+                restarts += 1;
+            }
+        }
+    }
+    // Guard against a vacuous pass: hints must actually put slots to
+    // sleep, both until a cycle and until an event, across restarts.
+    assert!(asleep_until > 0 && asleep_forever > 0 && restarts > 0);
 }
