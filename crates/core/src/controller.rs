@@ -291,9 +291,8 @@ pub struct MemoryController {
     open_rows: Vec<Option<u32>>,
     /// Scratch for [`MemoryController::issue_mem`]: best candidate per
     /// bank, reused across cycles so the hot loop allocates nothing.
+    /// Only the entries of the step's candidate banks are meaningful.
     scratch_best: Vec<Option<(u32, u64, usize, bool)>>,
-    /// Scratch for [`MemoryController::issue_mem`]: bank issue order.
-    scratch_order: Vec<(u32, u64, usize)>,
     page_policy: PagePolicy,
     /// Stall memo: cycles strictly before this are replayed by
     /// [`MemoryController::replay_cycle`] in O(1) — the arming full step
@@ -391,7 +390,6 @@ impl MemoryController {
             rows_at_switch: vec![None; banks],
             open_rows: vec![None; banks],
             scratch_best: vec![None; banks],
-            scratch_order: Vec::with_capacity(banks),
             page_policy: cfg.mc.page_policy,
             stall_until: 0,
             stall_qmask: 0,
@@ -1045,11 +1043,7 @@ impl MemoryController {
         if self.queues.pim_len() > 0 {
             mask |= (1u64 << n) - 1;
         }
-        for b in 0..n {
-            if self.channel.bank_busy(b, now) {
-                mask |= 1 << b;
-            }
-        }
+        mask |= self.channel.busy_bank_mask(now);
         let busy_banks = u64::from(mask.count_ones());
         if busy_banks > 0 {
             self.stats.blp_sum += busy_banks;
@@ -1101,18 +1095,35 @@ impl MemoryController {
     /// event. At that cycle the rank walk re-runs over the identical
     /// candidate set and issues exactly what per-cycle stepping would
     /// have.
+    ///
+    /// The cost follows the traffic, not the geometry (DESIGN.md §4n):
+    /// the policy's bank mask is asked once per pending bank, a bank's
+    /// scan ends at its first class-0 request (the queue is in age order,
+    /// so nothing later can beat it), and banks are picked in (class,
+    /// age) order by selection over the pending set instead of a sort.
     fn issue_mem(&mut self, now: Cycle) -> Option<Cycle> {
         if self.queues.mem_len() == 0 {
             return Some(Cycle::MAX);
         }
         self.refresh_open_rows();
-        let n_banks = self.channel.num_banks();
+        debug_assert!(self.channel.num_banks() <= 64, "bank masks cover 64 banks");
         // Best candidate per bank: (class, age, queue index, is_hit).
         // Borrowed out of self so the issue loop below can mutate the
         // channel and queues; restored at the end (no per-cycle allocation).
         let mut best = std::mem::take(&mut self.scratch_best);
-        best.clear();
-        best.resize(n_banks, None);
+        best.resize(self.channel.num_banks(), None);
+        // Pending banks the policy's switch logic has not stalled
+        // (FR-FCFS conflict bit); a stalled bank issues nothing.
+        let mut candidates = 0u64;
+        let mut bits = self.queues.mem_bank_mask();
+        while bits != 0 {
+            let bank = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if !self.policy.bank_masked(bank) {
+                candidates |= 1 << bank;
+                best[bank] = None;
+            }
+        }
         {
             let view = PolicyView {
                 now,
@@ -1121,35 +1132,44 @@ impl MemoryController {
                 pim: self.queues.pim(),
                 open_rows: &self.open_rows,
             };
+            // Candidate banks whose best request could still improve.
+            let mut open = candidates;
             for (idx, q) in view.mem.iter().enumerate() {
                 let bank = q.decoded.bank as usize;
-                if self.policy.bank_masked(bank) {
-                    // The policy's switch logic has stalled this bank
-                    // (FR-FCFS conflict bit) — issue nothing for it.
+                if open & (1 << bank) == 0 {
                     continue;
                 }
                 let hit = self.open_rows[bank] == Some(q.decoded.row);
                 let class = self.policy.mem_class(q, hit, &view);
-                let cand = (class, q.age, idx, hit);
-                if best[bank].is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best[bank] = Some(cand);
+                if best[bank].is_none_or(|b| (class, q.age) < (b.0, b.1)) {
+                    best[bank] = Some((class, q.age, idx, hit));
+                }
+                if class == 0 {
+                    // Every later request is younger: this one is final.
+                    open &= !(1 << bank);
+                    if open == 0 {
+                        break;
+                    }
                 }
             }
         }
-        // Rank banks by their best candidate and issue the first legal
-        // command for the best-ranked serviceable one.
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.extend(
-            best.iter()
-                .enumerate()
-                .filter_map(|(bank, c)| c.map(|(class, age, _, _)| (class, age, bank))),
-        );
-        order.sort_unstable();
+        // Try banks in (class, age) order — ties cannot occur, ages are
+        // unique — and issue the first legal command.
         let mut earliest = Cycle::MAX;
-        let mut issued = false;
-        'banks: for &(_, _, bank) in &order {
-            let (_, _, idx, hit) = best[bank].expect("ranked banks have candidates");
+        while candidates != 0 {
+            let mut pick: Option<(u32, u64, usize)> = None;
+            let mut bits = candidates;
+            while bits != 0 {
+                let bank = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (class, age, _, _) = best[bank].expect("candidate banks are scanned");
+                if pick.is_none_or(|p| (class, age) < (p.0, p.1)) {
+                    pick = Some((class, age, bank));
+                }
+            }
+            let (_, _, bank) = pick.expect("nonempty candidate set");
+            candidates &= !(1 << bank);
+            let (_, _, idx, hit) = best[bank].expect("candidate banks are scanned");
             let q = self.queues.mem()[idx];
             let cmd = if hit {
                 let closed = self.page_policy == PagePolicy::Closed;
@@ -1168,42 +1188,42 @@ impl MemoryController {
                     row: q.decoded.row,
                 }
             };
-            if self.channel.can_issue(cmd, now) {
-                match cmd {
-                    DramCommand::Act { row, .. } => {
-                        self.channel.issue(cmd, now);
-                        self.note_mem_act(idx, bank, row);
-                    }
-                    DramCommand::Pre { .. } => {
-                        self.channel.issue(cmd, now);
-                    }
-                    _ => {
-                        let done = self.channel.issue(cmd, now).expect("column command");
-                        let q = self.queues.remove_mem(idx);
-                        self.note_mem_issued(&q, now);
-                        self.stats
-                            .mem_latency
-                            .record(done.saturating_sub(q.arrived));
-                        self.completions.push(Completion {
-                            req: q.req,
-                            at: done,
-                        });
-                    }
+            // One legality probe: the command is legal now exactly when
+            // its earliest legal cycle is now.
+            match self.channel.earliest_issue(cmd, now) {
+                Some(at) if at == now => {}
+                Some(at) => {
+                    earliest = earliest.min(at);
+                    continue;
                 }
-                issued = true;
-                break 'banks;
+                None => continue,
             }
-            if let Some(at) = self.channel.earliest_issue(cmd, now) {
-                earliest = earliest.min(at);
+            self.scratch_best = best;
+            match cmd {
+                DramCommand::Act { row, .. } => {
+                    self.channel.issue(cmd, now);
+                    self.note_mem_act(idx, bank, row);
+                }
+                DramCommand::Pre { .. } => {
+                    self.channel.issue(cmd, now);
+                }
+                _ => {
+                    let done = self.channel.issue(cmd, now).expect("column command");
+                    let q = self.queues.remove_mem(idx);
+                    self.note_mem_issued(&q, now);
+                    self.stats
+                        .mem_latency
+                        .record(done.saturating_sub(q.arrived));
+                    self.completions.push(Completion {
+                        req: q.req,
+                        at: done,
+                    });
+                }
             }
+            return None;
         }
         self.scratch_best = best;
-        self.scratch_order = order;
-        if issued {
-            None
-        } else {
-            Some(earliest)
-        }
+        Some(earliest)
     }
 
     fn note_mem_act(&mut self, idx: usize, bank: usize, row: u32) {
@@ -1443,5 +1463,202 @@ impl MemoryController {
                 at: done,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::registry;
+    use pimsim_types::rng::SplitMix64;
+    use pimsim_types::{AppId, PhysAddr, PimCommand, RequestId};
+
+    /// The MEM step by brute force: each unmasked bank's (class, age)
+    /// argmin over the whole queue, banks sorted by that key, then a
+    /// `can_issue` walk. `Ok((command, queue index))` is what must issue;
+    /// `Err(cycle)` the stall cycle that must be reported instead.
+    fn reference_issue_mem(
+        mc: &MemoryController,
+        now: Cycle,
+    ) -> Result<(DramCommand, usize), Cycle> {
+        let n_banks = mc.channel.num_banks();
+        let open_rows: Vec<Option<u32>> = (0..n_banks).map(|b| mc.channel.open_row(b)).collect();
+        let view = PolicyView {
+            now,
+            mode: mc.mode,
+            mem: mc.queues.mem(),
+            pim: mc.queues.pim(),
+            open_rows: &open_rows,
+        };
+        let mut best: Vec<Option<(u32, u64, usize, bool)>> = vec![None; n_banks];
+        for (idx, q) in view.mem.iter().enumerate() {
+            let bank = q.decoded.bank as usize;
+            if mc.policy.bank_masked(bank) {
+                continue;
+            }
+            let hit = open_rows[bank] == Some(q.decoded.row);
+            let class = mc.policy.mem_class(q, hit, &view);
+            if best[bank].is_none_or(|b| (class, q.age) < (b.0, b.1)) {
+                best[bank] = Some((class, q.age, idx, hit));
+            }
+        }
+        let mut order: Vec<(u32, u64, usize)> = best
+            .iter()
+            .enumerate()
+            .filter_map(|(bank, c)| c.map(|(class, age, _, _)| (class, age, bank)))
+            .collect();
+        order.sort_unstable();
+        let mut earliest = Cycle::MAX;
+        for (_, _, bank) in order {
+            let (_, _, idx, hit) = best[bank].expect("ranked");
+            let q = &view.mem[idx];
+            let closed = mc.page_policy == PagePolicy::Closed;
+            let cmd = match (hit, q.req.kind, closed) {
+                (true, RequestKind::MemRead, false) => DramCommand::Read { bank },
+                (true, RequestKind::MemRead, true) => DramCommand::ReadAuto { bank },
+                (true, RequestKind::MemWrite, false) => DramCommand::Write { bank },
+                (true, RequestKind::MemWrite, true) => DramCommand::WriteAuto { bank },
+                (true, RequestKind::Pim(_), _) => unreachable!("PIM in MEM queue"),
+                (false, _, _) if open_rows[bank].is_some() => DramCommand::Pre { bank },
+                (false, _, _) => DramCommand::Act {
+                    bank,
+                    row: q.decoded.row,
+                },
+            };
+            if mc.channel.can_issue(cmd, now) {
+                return Ok((cmd, idx));
+            }
+            if let Some(at) = mc.channel.earliest_issue(cmd, now) {
+                earliest = earliest.min(at);
+            }
+        }
+        Err(earliest)
+    }
+
+    fn ages(mc: &MemoryController) -> Vec<u64> {
+        mc.queues.mem().iter().map(|q| q.age).collect()
+    }
+
+    /// For every registered policy, a random MEM/PIM stream drives the
+    /// controller through varied queue contents, open rows, bank timing,
+    /// policy masks and page policies; on random MEM-mode cycles the MEM
+    /// scheduling step must issue exactly the brute-force choice (same
+    /// channel state afterwards, same request removed) or report exactly
+    /// its stall cycle.
+    #[test]
+    fn mem_step_matches_brute_force_argmin() {
+        let mut checked = [0u64; 2]; // [issued, stalled]
+        for (pi, desc) in registry::descriptors().iter().enumerate() {
+            for seed in 0..6u64 {
+                let mut rng = SplitMix64::new(0x3E3 ^ ((pi as u64) << 8) ^ seed);
+                let mut cfg = SystemConfig::default();
+                if seed % 3 == 2 {
+                    cfg.mc.page_policy = PagePolicy::Closed;
+                }
+                let n_banks = cfg.dram.banks as u64;
+                let mut mc = MemoryController::new(&cfg, desc.default_kind().build());
+                // Every scheduling step is a full one, so a direct MEM
+                // step never lands inside an armed stall window.
+                mc.set_stall_enabled(false);
+                let (mut next_id, mut block, mut block_left, mut pim_row) = (0u64, 0u64, 0, 0);
+                let mut done = Vec::new();
+                let mem_rate = rng.next_f64() * 0.6;
+                let pim_rate = if seed % 2 == 0 { 0.0 } else { 0.3 };
+                for now in 0..1500 {
+                    if rng.chance(mem_rate) && mc.can_accept(false) {
+                        let kind = if rng.chance(0.3) {
+                            RequestKind::MemWrite
+                        } else {
+                            RequestKind::MemRead
+                        };
+                        let req =
+                            Request::new(RequestId(next_id), AppId::GPU, kind, PhysAddr(0), 0, 0);
+                        // Few rows per bank, so hits, misses and conflicts
+                        // all occur.
+                        let decoded = DecodedAddr {
+                            channel: 0,
+                            bank: rng.next_range(n_banks) as u16,
+                            row: rng.next_range(3) as u32,
+                            col: rng.next_range(32) as u32,
+                        };
+                        mc.enqueue(req, decoded, now);
+                        next_id += 1;
+                    }
+                    if rng.chance(pim_rate) && mc.can_accept(true) {
+                        let block_start = block_left == 0;
+                        if block_start {
+                            block += 1;
+                            block_left = 1 + rng.next_range(4);
+                            pim_row = rng.next_range(8) as u32;
+                        }
+                        block_left -= 1;
+                        let cmd = PimCommand {
+                            op: PimOpKind::RfLoad,
+                            channel: 0,
+                            row: pim_row,
+                            col: 0,
+                            rf_entry: 0,
+                            block_start,
+                            block_id: block,
+                        };
+                        let req = Request::new(
+                            RequestId(next_id),
+                            AppId::PIM,
+                            RequestKind::Pim(cmd),
+                            PhysAddr(0),
+                            0,
+                            0,
+                        );
+                        let decoded = DecodedAddr {
+                            row: pim_row,
+                            ..DecodedAddr::default()
+                        };
+                        mc.enqueue(req, decoded, now);
+                        next_id += 1;
+                    }
+                    let direct = mc.mode == Mode::Mem
+                        && mc.switch.is_none()
+                        && mc.queues.mem_len() > 0
+                        && rng.chance(0.5);
+                    if direct {
+                        mc.channel.tick(now);
+                        let want = reference_issue_mem(&mc, now);
+                        let before = ages(&mc);
+                        let mut shadow = mc.channel.clone();
+                        let got = mc.issue_mem(now);
+                        let ctx = format!("{} seed {seed} cycle {now}", desc.name);
+                        match want {
+                            Ok((cmd, idx)) => {
+                                assert_eq!(got, None, "{ctx}: expected {cmd:?}");
+                                let column = shadow.issue(cmd, now).is_some();
+                                let mut after = before.clone();
+                                if column {
+                                    after.remove(idx);
+                                }
+                                assert_eq!(ages(&mc), after, "{ctx}: removed request");
+                                checked[0] += 1;
+                            }
+                            Err(at) => {
+                                assert_eq!(got, Some(at), "{ctx}: stall cycle");
+                                assert_eq!(ages(&mc), before, "{ctx}: queue moved");
+                                checked[1] += 1;
+                            }
+                        }
+                        assert_eq!(
+                            format!("{shadow:?}"),
+                            format!("{:?}", mc.channel),
+                            "{ctx}: channel state"
+                        );
+                    } else {
+                        mc.step(now);
+                    }
+                    mc.pop_completions_into(now, &mut done);
+                }
+            }
+        }
+        assert!(
+            checked.iter().all(|&n| n > 1000),
+            "too few oracle steps: {checked:?}"
+        );
     }
 }

@@ -150,9 +150,11 @@ impl McQueues {
         self.pim.pop_front()
     }
 
-    /// Age of the oldest MEM request.
+    /// Age of the oldest MEM request: the queue head, since removals
+    /// preserve arrival order and ages increase on arrival.
     pub fn oldest_mem_age(&self) -> Option<u64> {
-        self.mem.iter().map(|q| q.age).min()
+        debug_assert!(self.mem.windows(2).all(|w| w[0].age < w[1].age));
+        self.mem.first().map(|q| q.age)
     }
 
     /// Age of the oldest PIM request (the queue head, since PIM is FCFS).

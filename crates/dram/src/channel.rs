@@ -345,10 +345,17 @@ impl Channel {
         (!self.quiescent(now)).then_some(now)
     }
 
-    /// Whether `bank` has column data in flight at `now` (used for
-    /// bank-level-parallelism accounting).
-    pub fn bank_busy(&self, bank: usize, now: Cycle) -> bool {
-        self.banks[bank].busy_until.is_some_and(|c| c > now)
+    /// Bitmask of the banks with column data in flight at `now` (bit `b`
+    /// for bank `b`, first 64 banks; used for bank-level-parallelism
+    /// accounting): one pass over the banks, none while the channel is
+    /// quiescent.
+    pub fn busy_bank_mask(&self, now: Cycle) -> u64 {
+        if self.quiescent(now) {
+            return 0;
+        }
+        self.banks.iter().enumerate().fold(0, |mask, (b, bank)| {
+            mask | u64::from(bank.busy_until.is_some_and(|c| c > now)) << (b % 64)
+        })
     }
 
     /// Whether every bank is open to `row` (the PIM lock-step execution
@@ -1130,6 +1137,8 @@ mod tests {
         assert_eq!(ch.busy_until(), Some(done));
         assert_eq!(ch.bank_busy_until(0), Some(done));
         assert_eq!(ch.bank_busy_until(1), None, "untouched bank stays None");
+        assert_eq!(ch.busy_bank_mask(done - 1), 1, "bank 0 in flight");
+        assert_eq!(ch.busy_bank_mask(done), 0, "data landed");
         // The aggregate is a high-water mark: it reports the completion
         // time even after it passes (quiescent() is the time-aware check).
         assert_eq!(ch.busy_until(), Some(done));

@@ -9,13 +9,26 @@
 
 use pimsim_types::{AddressMapConfig, DecodedAddr, DramConfig, PhysAddr};
 
-/// One field of the bit-sliced layout.
+/// One field of the bit-sliced layout; the discriminant indexes the
+/// `[row, bank, col, channel]` part array of a decode or encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
-    Row,
-    Bank,
-    Col,
-    Channel,
+    Row = 0,
+    Bank = 1,
+    Col = 2,
+    Channel = 3,
+}
+
+/// A maximal run of `w` adjacent address bits that land in one field:
+/// address bits `src..src + w` (counted above the word offset) hold the
+/// field's bits `dst..dst + w`.
+#[derive(Debug, Clone, Copy)]
+struct BitRun {
+    field: Field,
+    src: u32,
+    dst: u32,
+    /// The `w` low bits set.
+    mask: u64,
 }
 
 /// Maps physical addresses to DRAM coordinates and back.
@@ -34,8 +47,9 @@ enum Field {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
-    /// Field of each address bit, LSB-first, starting at `offset_bits`.
-    fields_lsb: Vec<Field>,
+    /// The layout as contiguous bit runs, LSB-first, starting at
+    /// `offset_bits` (the widened row bits above the pattern included).
+    runs: Vec<BitRun>,
     offset_bits: u32,
     channel_mask: u64,
     ipoly: bool,
@@ -103,8 +117,25 @@ impl AddressMapper {
         for _ in used..(used + extra).min(64) {
             fields_lsb.push(Field::Row);
         }
+        // Fold adjacent same-field bits into runs: decode and encode then
+        // cost one shift/mask per run instead of one step per address bit.
+        let mut runs: Vec<BitRun> = Vec::new();
+        let mut next_dst = [0u32; 4];
+        for (i, &field) in fields_lsb.iter().enumerate() {
+            let dst = &mut next_dst[field as usize];
+            match runs.last_mut() {
+                Some(r) if r.field == field => r.mask = (r.mask << 1) | 1,
+                _ => runs.push(BitRun {
+                    field,
+                    src: i as u32,
+                    dst: *dst,
+                    mask: 1,
+                }),
+            }
+            *dst += 1;
+        }
         AddressMapper {
-            fields_lsb,
+            runs,
             offset_bits,
             channel_mask: dram.channels as u64 - 1,
             ipoly,
@@ -115,22 +146,11 @@ impl AddressMapper {
     /// offset bits are ignored.
     pub fn decode(&self, addr: PhysAddr) -> DecodedAddr {
         let a = addr.0 >> self.offset_bits;
-        let mut row = 0u64;
-        let mut bank = 0u64;
-        let mut col = 0u64;
-        let mut channel = 0u64;
-        let mut shifts = [0u32; 4];
-        for (i, f) in self.fields_lsb.iter().enumerate() {
-            let bit = (a >> i) & 1;
-            let (target, s) = match f {
-                Field::Row => (&mut row, &mut shifts[0]),
-                Field::Bank => (&mut bank, &mut shifts[1]),
-                Field::Col => (&mut col, &mut shifts[2]),
-                Field::Channel => (&mut channel, &mut shifts[3]),
-            };
-            *target |= bit << *s;
-            *s += 1;
+        let mut parts = [0u64; 4];
+        for r in &self.runs {
+            parts[r.field as usize] |= ((a >> r.src) & r.mask) << r.dst;
         }
+        let [row, bank, col, mut channel] = parts;
         if self.ipoly {
             channel = self.hash_channel(channel, row);
         }
@@ -149,17 +169,10 @@ impl AddressMapper {
             // The hash is an XOR fold, hence self-inverse given the row.
             channel = self.hash_channel(channel, u64::from(row));
         }
-        let mut parts = [u64::from(row), u64::from(bank), u64::from(col), channel];
+        let parts = [u64::from(row), u64::from(bank), u64::from(col), channel];
         let mut a = 0u64;
-        for (i, f) in self.fields_lsb.iter().enumerate() {
-            let part = match f {
-                Field::Row => &mut parts[0],
-                Field::Bank => &mut parts[1],
-                Field::Col => &mut parts[2],
-                Field::Channel => &mut parts[3],
-            };
-            a |= (*part & 1) << i;
-            *part >>= 1;
+        for r in &self.runs {
+            a |= ((parts[r.field as usize] >> r.dst) & r.mask) << r.src;
         }
         PhysAddr(a << self.offset_bits)
     }
@@ -281,6 +294,100 @@ mod tests {
         assert_eq!(d.bank, 0);
         assert_eq!(d.col, 0);
         assert!(d.row > 0);
+    }
+
+    /// The per-bit decode the run-based one replaced: walk the pattern
+    /// LSB-first, widened with row bits up to a 32-bit row, and hand each
+    /// address bit to the next free bit of its field.
+    fn reference_decode(pattern: &str, m: &AddressMapper, addr: u64) -> DecodedAddr {
+        let mut fields: Vec<char> = pattern.chars().rev().collect();
+        let rows = fields.iter().filter(|&&c| c == 'R').count() as u32;
+        let used = fields.len() as u32 + m.offset_bits;
+        let widen = (used + 32u32.saturating_sub(rows))
+            .min(64)
+            .saturating_sub(used);
+        fields.extend(std::iter::repeat_n('R', widen as usize));
+        let a = addr >> m.offset_bits;
+        let mut parts = [0u64; 4];
+        let mut next = [0u32; 4];
+        for (i, c) in fields.iter().enumerate() {
+            let k = "RBCD".find(*c).expect("pattern char");
+            parts[k] |= ((a >> i) & 1) << next[k];
+            next[k] += 1;
+        }
+        let [row, bank, col, mut channel] = parts;
+        if m.ipoly {
+            channel = m.hash_channel(channel, row);
+        }
+        DecodedAddr {
+            channel: channel as u16,
+            bank: bank as u16,
+            row: row as u32,
+            col: col as u32,
+        }
+    }
+
+    /// Table I, I-poly and LPDDR5X with four ranks: each mapper with the
+    /// bit pattern it lays out.
+    fn oracle_mappers() -> Vec<(&'static str, String, AddressMapper)> {
+        let pattern = |map: &AddressMapConfig| match map {
+            AddressMapConfig::BitPattern(p) => p.clone(),
+            AddressMapConfig::IPolyHash => match AddressMapConfig::table1() {
+                AddressMapConfig::BitPattern(p) => p,
+                AddressMapConfig::IPolyHash => unreachable!(),
+            },
+        };
+        let hbm = SystemConfig::default();
+        let lp5x = crate::backend::system_config(
+            crate::backend::parse_spec("lp5x:ranks=4").expect("registered backend"),
+        );
+        [
+            ("table1", &hbm, hbm.addr_map.clone()),
+            ("ipoly", &hbm, AddressMapConfig::IPolyHash),
+            ("lp5x:ranks=4", &lp5x, lp5x.addr_map.clone()),
+        ]
+        .into_iter()
+        .map(|(name, cfg, map)| {
+            let m = AddressMapper::new(&map, &cfg.dram, cfg.dram_word_bytes());
+            (name, pattern(&map), m)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn run_decode_matches_per_bit_reference() {
+        let mut rng = pimsim_types::rng::SplitMix64::new(0xDEC0DE);
+        for (name, pattern, m) in oracle_mappers() {
+            for case in 0..4096 {
+                // Every magnitude, from a few offset bits to the full 64
+                // (bits above the pattern and above the 32-bit row).
+                let addr = rng.next_u64() >> rng.next_range(64);
+                assert_eq!(
+                    m.decode(PhysAddr(addr)),
+                    reference_decode(&pattern, &m, addr),
+                    "{name} case {case}: addr {addr:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lp5x_encode_inverts_decode() {
+        let (_, pattern, m) = oracle_mappers().pop().expect("lp5x mapper");
+        // Representable addresses: the pattern with its row widened to
+        // 32 bits, above the word offset.
+        let rows = pattern.chars().filter(|&c| c == 'R').count() as u32;
+        let bits = m.offset_bits + pattern.len() as u32 + 32 - rows;
+        let mut rng = pimsim_types::rng::SplitMix64::new(0x1F5);
+        for case in 0..4096 {
+            let addr = rng.next_range(1 << bits) & !((1 << m.offset_bits) - 1);
+            let d = m.decode(PhysAddr(addr));
+            assert_eq!(
+                m.encode(d.channel, d.bank, d.row, d.col).0,
+                addr,
+                "case {case}: addr {addr:#x}"
+            );
+        }
     }
 
     #[test]

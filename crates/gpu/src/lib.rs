@@ -26,4 +26,6 @@ pub mod trace;
 pub use kernel::{IssuedRequest, KernelModel};
 pub use pim_kernel::{PimKernelModel, PimKernelSpec, PimPhase};
 pub use synthetic::{GpuKernelParams, SyntheticGpuKernel};
-pub use trace::{read_trace, write_trace, TraceKernel, TraceRecord, TraceRecorder};
+pub use trace::{
+    read_trace, write_trace, TraceKernel, TraceKernelError, TraceRecord, TraceRecorder,
+};

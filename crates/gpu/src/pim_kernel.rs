@@ -13,6 +13,7 @@
 //! phase reading or writing a different row.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use pimsim_types::{Cycle, PhysAddr, PimCommand, PimOpKind, RequestId, RequestKind};
 
@@ -90,6 +91,32 @@ impl PimKernelSpec {
     }
 }
 
+/// Multiplicative (Fibonacci) hashing for request IDs. The simulator
+/// mints IDs as slab slots with a generation in the high bits, so
+/// multiplying by an odd constant maps consecutive slots to distinct
+/// buckets and mixes every bit into the high bits the table tags
+/// entries with. The keys come from the simulator, not from outside,
+/// so the map needs no flooding resistance, and SipHash cost a
+/// standalone PIM run about 6 % of its time (DESIGN.md §4n).
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// Per-warp issue state.
 #[derive(Debug, Clone)]
 struct Warp {
@@ -131,7 +158,7 @@ pub struct PimKernelModel {
     /// Round-robin pointer per slot over its warps.
     rr: Vec<usize>,
     /// RequestId -> warp index, for completion routing.
-    inflight: HashMap<u64, usize>,
+    inflight: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
     issued: u64,
     completed: u64,
     /// Warps currently at their outstanding-store cap. Maintained
@@ -180,7 +207,7 @@ impl PimKernelModel {
             max_outstanding,
             warps,
             rr: vec![0; num_slots],
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             issued: 0,
             completed: 0,
             warps_at_cap: 0,

@@ -56,6 +56,68 @@ impl std::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
+/// A record [`TraceKernel::new`] cannot replay, named by its 0-based
+/// index in the record list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceKernelError {
+    /// The record's slot is not below the kernel's slot count.
+    SlotOutOfRange {
+        /// Index of the record.
+        record: usize,
+        /// The record's slot.
+        slot: u32,
+        /// Slots the kernel occupies.
+        num_slots: usize,
+    },
+    /// The record is earlier than the previous record of its slot.
+    OutOfOrder {
+        /// Index of the record.
+        record: usize,
+        /// The record's slot.
+        slot: u32,
+        /// The record's cycle.
+        cycle: Cycle,
+        /// Cycle of the slot's previous record.
+        previous: Cycle,
+    },
+    /// The record is a PIM request, which a flat trace cannot carry.
+    PimRecord {
+        /// Index of the record.
+        record: usize,
+    },
+}
+
+impl std::fmt::Display for TraceKernelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TraceKernelError::SlotOutOfRange {
+                record,
+                slot,
+                num_slots,
+            } => write!(
+                f,
+                "trace record {record}: slot {slot} out of range ({num_slots} slots)"
+            ),
+            TraceKernelError::OutOfOrder {
+                record,
+                slot,
+                cycle,
+                previous,
+            } => write!(
+                f,
+                "trace record {record}: slot {slot} records must be cycle-ordered \
+                 (cycle {cycle} after {previous})"
+            ),
+            TraceKernelError::PimRecord { record } => write!(
+                f,
+                "trace record {record}: flat traces cannot carry PIM requests"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceKernelError {}
+
 /// Serializes records to the text format (one `slot cycle kind addr` line
 /// each; kind is `r`, `w`). PIM records are rejected — PIM kernels carry
 /// structural commands that a flat trace cannot express.
@@ -232,36 +294,47 @@ pub struct TraceKernel {
 impl TraceKernel {
     /// Builds a replay kernel over `num_slots` SM slots.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a record's slot is out of range, records within a slot
-    /// are not cycle-ordered, or the trace contains PIM records.
-    pub fn new(name: impl Into<String>, num_slots: usize, records: Vec<TraceRecord>) -> Self {
+    /// Returns a [`TraceKernelError`] naming the first record whose slot
+    /// is out of range, that is earlier than its slot's previous record,
+    /// or that is a PIM request.
+    pub fn new(
+        name: impl Into<String>,
+        num_slots: usize,
+        records: Vec<TraceRecord>,
+    ) -> Result<Self, TraceKernelError> {
         let mut slots: Vec<VecDeque<TraceRecord>> = vec![VecDeque::new(); num_slots];
-        for r in &records {
-            assert!(
-                !matches!(r.kind, RequestKind::Pim(_)),
-                "flat traces cannot carry PIM requests"
-            );
-            let s = r.slot as usize;
-            assert!(s < num_slots, "record slot {s} out of range");
-            if let Some(prev) = slots[s].back() {
-                assert!(
-                    prev.cycle <= r.cycle,
-                    "slot {s} records must be cycle-ordered"
-                );
+        for (record, r) in records.iter().enumerate() {
+            if matches!(r.kind, RequestKind::Pim(_)) {
+                return Err(TraceKernelError::PimRecord { record });
             }
-            slots[s].push_back(*r);
+            let Some(queue) = slots.get_mut(r.slot as usize) else {
+                return Err(TraceKernelError::SlotOutOfRange {
+                    record,
+                    slot: r.slot,
+                    num_slots,
+                });
+            };
+            if let Some(prev) = queue.back().filter(|prev| prev.cycle > r.cycle) {
+                return Err(TraceKernelError::OutOfOrder {
+                    record,
+                    slot: r.slot,
+                    cycle: r.cycle,
+                    previous: prev.cycle,
+                });
+            }
+            queue.push_back(*r);
         }
         let total = records.len() as u64;
-        TraceKernel {
+        Ok(TraceKernel {
             name: name.into(),
             slots,
             issued: 0,
             completed: 0,
             total,
             original: records,
-        }
+        })
     }
 }
 
@@ -302,7 +375,8 @@ impl KernelModel for TraceKernel {
     fn reset(&mut self) {
         let records = self.original.clone();
         let n = self.slots.len();
-        *self = TraceKernel::new(std::mem::take(&mut self.name), n, records);
+        *self = TraceKernel::new(std::mem::take(&mut self.name), n, records)
+            .expect("records were validated when the kernel was built");
     }
 
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
@@ -375,7 +449,7 @@ mod tests {
 
     #[test]
     fn replay_paces_by_recorded_cycle() {
-        let mut k = TraceKernel::new("t", 2, sample_records());
+        let mut k = TraceKernel::new("t", 2, sample_records()).unwrap();
         assert_eq!(k.total_requests(), 3);
         // Slot 0 at cycle 0: first record fires; second waits for cycle 5.
         assert!(k.try_issue(0, 0, RequestId(0)).is_some());
@@ -393,7 +467,7 @@ mod tests {
 
     #[test]
     fn reset_replays_from_the_start() {
-        let mut k = TraceKernel::new("t", 2, sample_records());
+        let mut k = TraceKernel::new("t", 2, sample_records()).unwrap();
         let a = k.try_issue(0, 0, RequestId(0)).unwrap();
         k.reset();
         let b = k.try_issue(0, 0, RequestId(1)).unwrap();
@@ -438,7 +512,7 @@ mod tests {
             );
         }
         // And the capture replays identically.
-        let mut replay = TraceKernel::new("replay", 2, records);
+        let mut replay = TraceKernel::new("replay", 2, records).unwrap();
         let mut id2 = 0u64;
         for now in 0..500 {
             for slot in 0..2 {
@@ -457,7 +531,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle-ordered")]
     fn out_of_order_slot_records_rejected() {
         let recs = vec![
             TraceRecord {
@@ -473,6 +546,45 @@ mod tests {
                 addr: 0,
             },
         ];
-        let _ = TraceKernel::new("t", 1, recs);
+        let e = TraceKernel::new("t", 1, recs).unwrap_err();
+        assert_eq!(
+            e,
+            TraceKernelError::OutOfOrder {
+                record: 1,
+                slot: 0,
+                cycle: 3,
+                previous: 9
+            }
+        );
+        assert!(e.to_string().contains("cycle-ordered"));
+    }
+
+    #[test]
+    fn out_of_range_slots_and_pim_records_rejected() {
+        // The third sample record uses slot 1.
+        let e = TraceKernel::new("t", 1, sample_records()).unwrap_err();
+        assert_eq!(
+            e,
+            TraceKernelError::SlotOutOfRange {
+                record: 2,
+                slot: 1,
+                num_slots: 1
+            }
+        );
+        let pim = TraceRecord {
+            kind: RequestKind::Pim(pimsim_types::PimCommand {
+                op: pimsim_types::PimOpKind::RfLoad,
+                channel: 0,
+                row: 0,
+                col: 0,
+                rf_entry: 0,
+                block_start: true,
+                block_id: 0,
+            }),
+            ..sample_records()[0]
+        };
+        let e = TraceKernel::new("t", 1, vec![sample_records()[0], pim]).unwrap_err();
+        assert_eq!(e, TraceKernelError::PimRecord { record: 1 });
+        assert!(e.to_string().starts_with("trace record 1:"));
     }
 }

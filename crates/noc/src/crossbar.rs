@@ -108,16 +108,32 @@ pub struct Crossbar {
     scratch: StepScratch,
 }
 
-/// Reusable per-step arbitration state (see [`Crossbar::step`]).
+/// Reusable per-step arbitration state (see [`Crossbar::step`]). Every
+/// field is a bitmask or is only read where a mask bit vouches for it, so
+/// a step clears exactly the bits it set instead of the full width.
 #[derive(Debug, Clone, Default)]
 struct StepScratch {
-    input_done: Vec<bool>,
-    output_done: Vec<bool>,
-    proposal: Vec<Option<VcIndex>>,
+    /// Bit `i` set iff input `i` was granted this cycle.
+    input_done: Vec<u64>,
+    /// Bit `o` set iff output `o` granted or was refused this cycle.
+    output_done: Vec<u64>,
+    /// Bit `o` set iff output `o` received a proposal this iteration.
+    requested: Vec<u64>,
+    /// VC input `i` proposed this iteration; read only for inputs whose
+    /// request bit is set, so stale entries are never seen.
+    proposal: Vec<VcIndex>,
     /// Per-output requester set: output `o` owns the word stripe
     /// `[o * in_words, (o + 1) * in_words)`, bit `i` = input `i` proposed
-    /// its head flit to `o` this iteration.
+    /// its head flit to `o` this iteration. All-zero between iterations.
     request_words: Vec<u64>,
+}
+
+fn bit(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
 }
 
 /// First set bit of `stripe` at or after `start`, wrapping below `start`
@@ -184,9 +200,10 @@ impl Crossbar {
             busy_in: vec![0; in_words],
             in_words,
             scratch: StepScratch {
-                input_done: vec![false; n_in],
-                output_done: vec![false; n_out],
-                proposal: vec![None; n_in],
+                input_done: vec![0; in_words],
+                output_done: vec![0; n_out.div_ceil(64)],
+                requested: vec![0; n_out.div_ceil(64)],
+                proposal: vec![0; n_in],
                 request_words: vec![0; n_out * in_words],
             },
         }
@@ -336,6 +353,11 @@ impl Crossbar {
     /// must return `true` to accept it (downstream queue has space). On
     /// `false`, the flit stays queued and the grant pointer does not
     /// advance (iSlip only advances pointers on successful grants).
+    ///
+    /// The cost follows the traffic (DESIGN.md §4n): proposals are
+    /// gathered from the busy inputs only, and the grant loop visits only
+    /// the outputs that received one, in ascending order — the order a
+    /// sweep over every output would eject in.
     pub fn step<F>(&mut self, _now: Cycle, mut eject: F)
     where
         F: FnMut(usize, VcIndex, &Request) -> bool,
@@ -352,34 +374,28 @@ impl Crossbar {
         // the arbitration loops can mutate `self.inputs` freely; the
         // buffers go back at the end, so steady-state steps never allocate.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let input_done = &mut scratch.input_done;
-        let output_done = &mut scratch.output_done;
-        input_done.clear();
-        input_done.resize(n_in, false);
-        output_done.clear();
-        output_done.resize(self.n_out, false);
-        scratch.proposal.resize(n_in, None);
+        let StepScratch {
+            input_done,
+            output_done,
+            requested,
+            proposal,
+            request_words,
+        } = &mut scratch;
+        input_done.fill(0);
+        output_done.fill(0);
         let in_words = self.in_words;
-        scratch.request_words.resize(self.n_out * in_words, 0);
         for _iter in 0..self.iterations {
             // Gather one proposal per ungranted input toward an
             // ungranted output: the VC round-robin choice first, falling
             // back to the other VC if its head targets a free output.
             // Only inputs with buffered flits (the `busy_in` set) are
-            // visited, in the same ascending order as the old full scan.
-            let proposal = &mut scratch.proposal;
-            let request_words = &mut scratch.request_words;
-            proposal.fill(None);
-            request_words.fill(0);
+            // visited, in ascending order.
             let mut any_requests = false;
             for (wi, &word) in self.busy_in.iter().enumerate() {
-                let mut bits = word;
+                let mut bits = word & !input_done[wi];
                 while bits != 0 {
                     let i = wi * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if input_done[i] {
-                        continue;
-                    }
                     let Some(first) = self.propose_vc(i) else {
                         continue;
                     };
@@ -399,9 +415,10 @@ impl Crossbar {
                             .front()
                             .expect("candidate VC must be nonempty")
                             .dest;
-                        if !output_done[dest] {
-                            proposal[i] = Some(vc);
-                            request_words[dest * in_words + i / 64] |= 1 << (i % 64);
+                        if !bit(output_done, dest) {
+                            proposal[i] = vc;
+                            set_bit(&mut request_words[dest * in_words..], i);
+                            set_bit(requested, dest);
                             any_requests = true;
                             break;
                         }
@@ -411,41 +428,44 @@ impl Crossbar {
             if !any_requests {
                 break;
             }
-            // Output arbitration: rotating priority over inputs, advanced
-            // only on a successful grant. The requester set is a bitmask,
-            // so the rotating search is find-first-set instead of a
-            // membership scan.
-            for out in 0..self.n_out {
-                if output_done[out] {
-                    continue;
-                }
-                let stripe = &request_words[out * in_words..(out + 1) * in_words];
-                let Some(cand) = first_set_from(stripe, self.grant_ptr[out]) else {
-                    continue;
-                };
-                let vc = proposal[cand].expect("granted input must have proposed");
-                let flit = *self.inputs[cand].vcs[vc]
-                    .front()
-                    .expect("candidate VC must be nonempty");
-                debug_assert_eq!(flit.dest, out);
-                if eject(out, vc, &flit.req) {
-                    self.inputs[cand].vcs[vc].pop_front();
-                    if self.inputs[cand].occupancy() == 0 {
-                        self.busy_in[cand / 64] &= !(1 << (cand % 64));
+            // Output arbitration over the requested outputs only:
+            // rotating priority over inputs, advanced only on a
+            // successful grant. The requester set is a bitmask, so the
+            // rotating search is find-first-set instead of a membership
+            // scan. Each stripe is cleared once read, leaving the request
+            // scratch all-zero for the next iteration.
+            for (ow, word) in requested.iter_mut().enumerate() {
+                let mut outs = std::mem::take(word);
+                while outs != 0 {
+                    let out = ow * 64 + outs.trailing_zeros() as usize;
+                    outs &= outs - 1;
+                    let stripe = &mut request_words[out * in_words..(out + 1) * in_words];
+                    let cand = first_set_from(stripe, self.grant_ptr[out])
+                        .expect("requested output has a requester");
+                    stripe.fill(0);
+                    let vc = proposal[cand];
+                    let flit = *self.inputs[cand].vcs[vc]
+                        .front()
+                        .expect("candidate VC must be nonempty");
+                    debug_assert_eq!(flit.dest, out);
+                    if eject(out, vc, &flit.req) {
+                        self.inputs[cand].vcs[vc].pop_front();
+                        if self.inputs[cand].occupancy() == 0 {
+                            self.busy_in[cand / 64] &= !(1 << (cand % 64));
+                        }
+                        self.occupancy -= 1;
+                        self.inputs[cand].last_vc = vc;
+                        self.grant_ptr[out] = (cand + 1) % n_in;
+                        self.stats.ejected += 1;
+                        set_bit(input_done, cand);
+                    } else {
+                        // Backpressured output: no point retrying it this
+                        // cycle.
+                        self.stats.eject_stalls += 1;
                     }
-                    self.occupancy -= 1;
-                    self.inputs[cand].last_vc = vc;
-                    self.grant_ptr[out] = (cand + 1) % n_in;
-                    self.stats.ejected += 1;
-                    input_done[cand] = true;
-                    output_done[out] = true;
-                } else {
-                    self.stats.eject_stalls += 1;
-                    // Backpressured output: no point retrying it this
-                    // cycle.
-                    output_done[out] = true;
+                    // One grant attempt per output per iteration.
+                    set_bit(output_done, out);
                 }
-                // One grant attempt per output per iteration.
             }
         }
         self.scratch = scratch;
@@ -698,6 +718,135 @@ mod tests {
             grant(&mut skipped),
             "arbiter state must be untouched by the bulk skip"
         );
+    }
+
+    /// The full-width arbitration the sparse step replaced: every input
+    /// and every output is visited each iteration, with fresh scratch.
+    fn reference_step<F>(x: &mut Crossbar, mut eject: F)
+    where
+        F: FnMut(usize, VcIndex, &Request) -> bool,
+    {
+        if x.occupancy == 0 {
+            return;
+        }
+        x.stats.occupancy_integral += x.occupancy as u64;
+        let n_in = x.inputs.len();
+        let mut input_done = vec![false; n_in];
+        let mut output_done = vec![false; x.n_out];
+        for _ in 0..x.iterations {
+            // (vc, dest) each ungranted input proposes.
+            let mut proposal: Vec<Option<(VcIndex, usize)>> = vec![None; n_in];
+            for i in 0..n_in {
+                if input_done[i] {
+                    continue;
+                }
+                let Some(first) = x.propose_vc(i) else {
+                    continue;
+                };
+                let n_vcs = x.inputs[i].vcs.len();
+                for off in 0..n_vcs {
+                    let vc = (first + off) % n_vcs;
+                    let Some(f) = x.inputs[i].vcs[vc].front() else {
+                        continue;
+                    };
+                    if !output_done[f.dest] {
+                        proposal[i] = Some((vc, f.dest));
+                        break;
+                    }
+                }
+            }
+            if proposal.iter().all(Option::is_none) {
+                break;
+            }
+            for (out, done) in output_done.iter_mut().enumerate() {
+                if *done {
+                    continue;
+                }
+                let start = x.grant_ptr[out];
+                let Some(cand) = (0..n_in)
+                    .map(|k| (start + k) % n_in)
+                    .find(|&i| proposal[i].is_some_and(|(_, d)| d == out))
+                else {
+                    continue;
+                };
+                let (vc, _) = proposal[cand].expect("found above");
+                let req = x.inputs[cand].vcs[vc].front().expect("proposed").req;
+                if eject(out, vc, &req) {
+                    x.inputs[cand].vcs[vc].pop_front();
+                    if x.inputs[cand].occupancy() == 0 {
+                        x.busy_in[cand / 64] &= !(1 << (cand % 64));
+                    }
+                    x.occupancy -= 1;
+                    x.inputs[cand].last_vc = vc;
+                    x.grant_ptr[out] = (cand + 1) % n_in;
+                    x.stats.ejected += 1;
+                    input_done[cand] = true;
+                } else {
+                    x.stats.eject_stalls += 1;
+                }
+                *done = true;
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_step_matches_full_sweep_reference() {
+        use pimsim_types::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5CA7);
+        for case in 0..96 {
+            // Port counts straddle a 64-bit mask word on both sides.
+            let n_in = 1 + rng.next_range(100) as usize;
+            let n_out = 1 + rng.next_range(100) as usize;
+            let mode = if rng.chance(0.5) {
+                VcMode::Shared
+            } else {
+                VcMode::SplitPim
+            };
+            let iterations = 1 + rng.next_range(4) as usize;
+            let buffer = 2 + rng.next_range(15) as usize;
+            let load = rng.next_f64();
+            let refuse = rng.next_f64() * 0.5;
+            let mut sparse = Crossbar::new(n_in, n_out, buffer, mode).with_iterations(iterations);
+            let mut full = sparse.clone();
+            let mut next_id = 0u64;
+            for cyc in 0..300 {
+                for _ in 0..rng.next_range(1 + (load * 2.0 * n_in as f64) as u64) {
+                    let input = rng.next_range(n_in as u64) as usize;
+                    let dest = rng.next_range(n_out as u64) as usize;
+                    let req = if rng.chance(0.5) {
+                        pim_req(next_id, input as u16)
+                    } else {
+                        mem_req(next_id, input as u16)
+                    };
+                    next_id += 1;
+                    assert_eq!(
+                        sparse.try_inject(input, req, dest).is_ok(),
+                        full.try_inject(input, req, dest).is_ok(),
+                        "case {case} cycle {cyc}: injection"
+                    );
+                }
+                // Downstream refuses a random set of outputs this cycle.
+                let refused: Vec<bool> = (0..n_out).map(|_| rng.chance(refuse)).collect();
+                let mut got = Vec::new();
+                sparse.step(cyc, |out, vc, req| {
+                    got.push((out, vc, req.id.0));
+                    !refused[out]
+                });
+                let mut want = Vec::new();
+                reference_step(&mut full, |out, vc, req| {
+                    want.push((out, vc, req.id.0));
+                    !refused[out]
+                });
+                assert_eq!(got, want, "case {case} cycle {cyc}: eject sequence");
+                assert_eq!(sparse.grant_ptr, full.grant_ptr, "case {case} cycle {cyc}");
+                assert_eq!(sparse.stats(), full.stats(), "case {case} cycle {cyc}");
+                assert_eq!(sparse.total_occupancy(), full.total_occupancy());
+                for i in 0..n_in {
+                    assert_eq!(sparse.inputs[i].last_vc, full.inputs[i].last_vc);
+                    assert_eq!(sparse.input_occupancy(i), full.input_occupancy(i));
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() {
     assert_eq!(reloaded.len(), records.len());
 
     // 3. Replay through the full simulator.
-    let replay = TraceKernel::new("dwt2d-trace", sms, reloaded);
+    let replay = TraceKernel::new("dwt2d-trace", sms, reloaded).expect("replayable trace");
     let mut sim = Simulator::new(SystemConfig::default(), PolicyKind::FrFcfs);
     let k = sim.mount(Box::new(replay), (0..sms).collect(), false, false);
     sim.run_until_all_first_done(10_000_000)

@@ -136,7 +136,9 @@ fn trace_replay_matches_synthetic_run_through_full_simulator() {
             sim.merged_mc_stats().mem_arrivals,
         )
     };
-    let (replay_cycles, replay_arrivals) = run(Box::new(TraceKernel::new("replay", sms, records)));
+    let (replay_cycles, replay_arrivals) = run(Box::new(
+        TraceKernel::new("replay", sms, records).expect("recorded trace replays"),
+    ));
     let (synth_cycles, synth_arrivals) = run(Box::new(gpu_kernel(GpuBenchmark(13), sms, SCALE)));
     // The replay paces at recorded (uncontended-generator) cycles, so the
     // address stream and DRAM traffic match exactly; time may differ only

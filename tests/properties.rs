@@ -802,7 +802,10 @@ fn random_issue_case(kind: u64, rng: &mut SplitMix64) -> IssueCase {
             }
             IssueCase {
                 make: Box::new(move || {
-                    Box::new(TraceKernel::new("prop-trace", slots, records.clone()))
+                    Box::new(
+                        TraceKernel::new("prop-trace", slots, records.clone())
+                            .expect("generated records are replayable"),
+                    )
                 }),
                 pim: None,
             }
