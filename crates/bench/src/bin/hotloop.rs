@@ -193,6 +193,15 @@ struct Profiled {
 /// under half of these bounds.
 const MAX_POLLS_PER_CYCLE: [(&str, f64); 2] = [("standalone_mem", 1.0), ("coexec_f3fs", 24.0)];
 
+/// Visit-rate gate of the event-driven memory stage (DESIGN.md §4o):
+/// the most partition visits per stepped cycle each gated scenario may
+/// make. Visiting every partition every cycle costs 32. Standalone MEM
+/// commits 0.37 (2.7x headroom). Saturated standalone PIM keeps most
+/// ingress ports occupied and commits 22.7; twice that would exceed 32
+/// and never trip, so its bound sits between the committed value and
+/// the eager count.
+const MAX_VISITS_PER_CYCLE: [(&str, f64); 2] = [("standalone_mem", 1.0), ("standalone_pim", 28.0)];
+
 /// `reps` timed passes: returns the (identical) simulated cycle count and
 /// every raw rate in simulated cycles per wall second.
 fn measure(f: fn(bool) -> u64, ff: bool, reps: usize) -> (u64, Vec<f64>) {
@@ -306,6 +315,20 @@ fn main() {
             issue_polls,
         } = profile_scenario(name);
         let polls_per_cycle = issue_polls as f64 / prof.stepped_cycles.max(1) as f64;
+        let visits_per_cycle = mix.partition_visits as f64 / prof.stepped_cycles.max(1) as f64;
+        // Same idea for the event-driven memory stage (DESIGN.md §4o): a
+        // rate above the bound means partitions are visited without work
+        // due.
+        if let Some(&(_, bound)) = MAX_VISITS_PER_CYCLE.iter().find(|(n, _)| *n == name) {
+            assert!(
+                visits_per_cycle <= bound,
+                "{name}: memory stage made {} partition visits over {} stepped \
+                 cycles ({visits_per_cycle:.2}/cycle > {bound}); event-driven \
+                 visits should leave partitions without work due asleep",
+                mix.partition_visits,
+                prof.stepped_cycles
+            );
+        }
         // Deterministic, so immune to host noise: a rate above the bound
         // means the issue stage fell back to polling sleeping SMs.
         if let Some(&(_, bound)) = MAX_POLLS_PER_CYCLE.iter().find(|(n, _)| *n == name) {
@@ -368,20 +391,10 @@ fn main() {
                     prof.stepped_cycles
                 );
             }
-            // Structural gates for retire-time batching (DESIGN.md §4k).
-            // Production-side deferral must cut the memory stage's tick
-            // count at least 3x below one-tick-per-cycle; all-PIM traffic
-            // must route its acks through the retire-time batch (a zero
-            // counter means batching silently disengaged and the oracle
-            // equality is comparing eager against eager).
-            assert!(
-                mix.ticks_memory * 3 <= prof.stepped_cycles,
-                "{name}: memory stage ran {} ticks over {} stepped cycles; \
-                 retire-time batching should defer production at least 3x \
-                 below the per-cycle baseline",
-                mix.ticks_memory,
-                prof.stepped_cycles
-            );
+            // Structural gate for retire-time batching (DESIGN.md §4k):
+            // all-PIM traffic must route its acks through the retire-time
+            // batch (a zero counter means batching silently disengaged
+            // and the oracle equality is comparing eager against eager).
             assert!(
                 mix.acks_batched > 0,
                 "{name}: no acks went through the retire-time batch"
@@ -424,16 +437,13 @@ fn main() {
             "  {:16} issue: {issue_polls} kernel polls ({polls_per_cycle:.2} per stepped cycle)",
             ""
         );
-        let window = mix.mean_deferral_window().unwrap_or(0.0);
         println!(
-            "  {:16} batching: {} retire batches / {} acks batched / {} plan spans replayed / mean deferral window {:.1} ({} visits over {} replays)",
-            "",
-            mix.ack_batches,
-            mix.acks_batched,
-            mix.plan_spans_replayed,
-            window,
-            mix.replayed_visits,
-            mix.replay_batches
+            "  {:16} batching: {} retire batches / {} acks batched / {} plan spans replayed",
+            "", mix.ack_batches, mix.acks_batched, mix.plan_spans_replayed
+        );
+        println!(
+            "  {:16} memory: {} partition visits ({visits_per_cycle:.2} per stepped cycle) / {} catch-ups over {} DRAM ticks",
+            "", mix.partition_visits, mix.replay_batches, mix.replayed_visits
         );
         entries.push(format!(
             concat!(
@@ -461,7 +471,7 @@ fn main() {
                 "        \"plan_spans_replayed\": {},\n",
                 "        \"replay_batches\": {},\n",
                 "        \"replayed_visits\": {},\n",
-                "        \"mean_deferral_window\": {:.2},\n",
+                "        \"partition_visits\": {},\n",
                 "        \"ticks_issue\": {},\n",
                 "        \"ticks_request_net\": {},\n",
                 "        \"ticks_memory\": {},\n",
@@ -471,6 +481,7 @@ fn main() {
                 "      }},\n",
                 "      \"issue_polls\": {},\n",
                 "      \"issue_polls_per_stepped_cycle\": {:.3},\n",
+                "      \"partition_visits_per_stepped_cycle\": {:.3},\n",
                 "      \"fast_forward\": {{\n",
                 "        \"skips\": {},\n",
                 "        \"skipped_gpu_cycles\": {}\n",
@@ -503,7 +514,7 @@ fn main() {
             mix.plan_spans_replayed,
             mix.replay_batches,
             mix.replayed_visits,
-            window,
+            mix.partition_visits,
             mix.ticks_issue,
             mix.ticks_request_net,
             mix.ticks_memory,
@@ -512,6 +523,7 @@ fn main() {
             mix.completions_delivered,
             issue_polls,
             polls_per_cycle,
+            visits_per_cycle,
             ff_skips,
             ff_skipped,
             prof.stepped_cycles,

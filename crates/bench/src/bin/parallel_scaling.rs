@@ -1,135 +1,88 @@
-//! Parallel-scaling measurement for the sharded memory stage: simulated
-//! GPU cycles per wall-clock second at 1/2/4/8 memory-stage threads,
-//! written to `BENCH_parallel.json`. Scenarios mirror the `hotloop`
-//! bench: standalone MEM, standalone PIM, and F3FS competitive
-//! co-execution.
+//! Sweep-pool scaling: simulations per wall-clock second when the
+//! Figure 5 sweep (every Rodinia victim standalone on 80 SMs, then on
+//! 72 SMs beside each of six co-runners) runs through `parallel_map` on
+//! pools of width 1 and 2, written to `BENCH_parallel.json`.
 //!
 //! Run with `cargo run --release --bin parallel_scaling`. Every width
-//! first asserts it simulated the same number of cycles as the serial
-//! run — throughput is only comparable because the runs are
-//! bit-identical. The host's CPU count is recorded alongside the rates:
-//! on a machine with fewer cores than threads, the extra widths measure
-//! dispatch overhead, not speedup.
+//! first asserts it produced bit-identical bars to width 1 — throughput
+//! is only comparable because the sweeps are identical. The host's CPU
+//! count is recorded alongside the rates: on a machine with fewer cores
+//! than lanes, the extra width measures dispatch overhead, not speedup.
 
 use std::time::Instant;
 
 use pimsim_bench::header;
-use pimsim_core::policy::PolicyKind;
-use pimsim_sim::Runner;
+use pimsim_sim::experiments::interference::{run_interference_on, InterferenceBar};
+use pimsim_sim::experiments::sweep::WorkerPool;
 use pimsim_types::SystemConfig;
-use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
+use pimsim_workloads::rodinia::{memory_intensive_picks, GpuBenchmark};
 
-const SCALE: f64 = 1.0;
-/// Co-execution is slower per simulated cycle; a smaller size keeps the
-/// measurement wall-time reasonable.
-const COEXEC_SCALE: f64 = 0.2;
-/// Criterion-style minimum: repeat each measurement and keep the best, so
-/// one scheduler hiccup does not masquerade as a regression.
+/// Small enough that one sweep takes seconds, large enough that each
+/// simulation dwarfs the pool's dispatch cost.
+const SCALE: f64 = 0.1;
+const BUDGET: u64 = 6_000_000;
+/// Repeat each measurement and keep the best, so one scheduler hiccup
+/// does not masquerade as a regression. Widths alternate within each
+/// repetition, so both see the same drift in host load.
 const REPS: usize = 3;
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+const WIDTHS: [usize; 2] = [1, 2];
 
-fn runner(policy: PolicyKind, threads: usize) -> Runner {
-    let mut r = Runner::new(SystemConfig::default(), policy);
-    r.max_gpu_cycles = 60_000_000;
-    r.memory_threads = Some(threads);
-    r
-}
-
-fn standalone_mem(threads: usize) -> u64 {
-    runner(PolicyKind::FrFcfs, threads)
-        .standalone(Box::new(gpu_kernel(GpuBenchmark(10), 8, SCALE)), 0, false)
-        .expect("finishes")
-        .cycles
-}
-
-fn standalone_pim(threads: usize) -> u64 {
-    runner(PolicyKind::FrFcfs, threads)
-        .standalone(
-            Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-            0,
-            true,
-        )
-        .expect("finishes")
-        .cycles
-}
-
-fn coexec_f3fs(threads: usize) -> u64 {
-    runner(PolicyKind::f3fs_competitive(), threads)
-        .coexec(
-            Box::new(gpu_kernel(GpuBenchmark(8), 72, COEXEC_SCALE)),
-            Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, COEXEC_SCALE)),
-            true,
-        )
-        .total_cycles
-}
-
-/// Best-of-`REPS` throughput in simulated cycles per wall second.
-fn measure(f: fn(usize) -> u64, threads: usize) -> (u64, f64) {
-    let mut best = 0.0_f64;
-    let mut cycles = 0;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        cycles = f(threads);
-        let rate = cycles as f64 / t.elapsed().as_secs_f64();
-        best = best.max(rate);
-    }
-    (cycles, best)
+fn bits(bars: &[InterferenceBar]) -> Vec<(String, u64)> {
+    bars.iter()
+        .map(|b| (b.corunner.clone(), b.avg_speedup.to_bits()))
+        .collect()
 }
 
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    header("Memory-stage parallel scaling (simulated cycles/sec per thread count)");
-    println!("  host CPUs: {host_cpus}\n");
-    type Scenario = fn(usize) -> u64;
-    let scenarios: [(&str, Scenario); 3] = [
-        ("standalone_mem", standalone_mem),
-        ("standalone_pim", standalone_pim),
-        ("coexec_f3fs", coexec_f3fs),
-    ];
-    let mut entries = Vec::new();
-    for (name, f) in scenarios {
-        let mut rates = Vec::new();
-        let mut serial_cycles = 0;
-        for &threads in &THREADS {
-            let (cycles, rate) = measure(f, threads);
-            if threads == 1 {
-                serial_cycles = cycles;
-            } else {
-                assert_eq!(
-                    cycles, serial_cycles,
-                    "{name}: {threads} threads changed the simulated cycle count"
-                );
+    // One standalone baseline per victim, then the victim beside "none",
+    // each memory-intensive pick and P1.
+    let victims = GpuBenchmark::all().len();
+    let runs = victims * (1 + memory_intensive_picks().len() + 2);
+    header("Sweep-pool scaling: Figure 5 sweep, simulations per second per pool width");
+    println!("  host CPUs: {host_cpus}   simulations per sweep: {runs}   scale {SCALE}\n");
+    let system = SystemConfig::default();
+    let pools: Vec<WorkerPool> = WIDTHS.iter().map(|&w| WorkerPool::new(w)).collect();
+    let mut reference = None;
+    let mut rates = [0.0_f64; WIDTHS.len()];
+    for _ in 0..REPS {
+        for (i, pool) in pools.iter().enumerate() {
+            let t = Instant::now();
+            let bars = run_interference_on(pool, &system, SCALE, BUDGET);
+            rates[i] = rates[i].max(runs as f64 / t.elapsed().as_secs_f64());
+            let got = bits(&bars);
+            match &reference {
+                None => reference = Some(got),
+                Some(r) => assert_eq!(r, &got, "width {} changed the sweep's bars", WIDTHS[i]),
             }
-            rates.push(rate);
         }
-        let speedup4 = rates[2] / rates[0];
-        println!(
-            "  {name:16} {serial_cycles:>10} cycles   t1 {:>10.0}/s   t2 {:>10.0}/s   t4 {:>10.0}/s   t8 {:>10.0}/s   t4/t1 {speedup4:.2}x",
-            rates[0], rates[1], rates[2], rates[3]
-        );
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"scenario\": \"{}\",\n",
-                "      \"simulated_cycles\": {},\n",
-                "      \"cycles_per_sec_t1\": {:.1},\n",
-                "      \"cycles_per_sec_t2\": {:.1},\n",
-                "      \"cycles_per_sec_t4\": {:.1},\n",
-                "      \"cycles_per_sec_t8\": {:.1},\n",
-                "      \"speedup_t4_vs_t1\": {:.3}\n",
-                "    }}"
-            ),
-            name, serial_cycles, rates[0], rates[1], rates[2], rates[3], speedup4
-        ));
     }
+    for (width, rate) in WIDTHS.iter().zip(rates) {
+        println!("  width {width}: {rate:>8.2} simulations/s");
+    }
+    let speedup = rates[1] / rates[0];
+    println!("\n  width 2 vs 1: {speedup:.2}x");
     // serde is vendored as a no-op shim in this workspace, so the JSON is
     // formatted by hand.
     let json = format!(
-        "{{\n  \"benchmark\": \"parallel_scaling\",\n  \"unit\": \"simulated_gpu_cycles_per_wall_second\",\n  \"reps\": {REPS},\n  \"host_cpus\": {host_cpus},\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+        concat!(
+            "{{\n",
+            "  \"benchmark\": \"parallel_scaling\",\n",
+            "  \"sweep\": \"fig5 interference grid\",\n",
+            "  \"unit\": \"simulations_per_wall_second\",\n",
+            "  \"scale\": {},\n",
+            "  \"simulations_per_sweep\": {},\n",
+            "  \"reps\": {},\n",
+            "  \"host_cpus\": {},\n",
+            "  \"runs_per_sec_w1\": {:.3},\n",
+            "  \"runs_per_sec_w2\": {:.3},\n",
+            "  \"speedup_w2_vs_w1\": {:.3}\n",
+            "}}\n"
+        ),
+        SCALE, runs, REPS, host_cpus, rates[0], rates[1], speedup
     );
     std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("\nwrote BENCH_parallel.json");
+    println!("wrote BENCH_parallel.json");
 }

@@ -218,12 +218,15 @@ pub struct StepMix {
     /// Inert shim, always zero: `pimbench` is its only reader.
     #[doc(hidden)]
     pub requests_batched: u64,
-    /// Per-partition catch-up replays that had at least one deferred
-    /// visit to work through.
+    /// Catch-ups of a busy controller over DRAM ticks its partition
+    /// slept through (DESIGN.md §4o); each is one O(1) bulk replay.
     pub replay_batches: u64,
-    /// Deferred stage visits replayed across all `replay_batches` — the
-    /// numerator of [`StepMix::mean_deferral_window`].
+    /// DRAM ticks covered by those catch-ups.
     pub replayed_visits: u64,
+    /// Live partition visits by the memory stage: one per partition per
+    /// GPU cycle in which it had work due. The eager loop would make one
+    /// per partition per stepped cycle.
+    pub partition_visits: u64,
 }
 
 impl StepMix {
@@ -232,12 +235,6 @@ impl StepMix {
     pub fn burst_hit_rate(&self) -> Option<f64> {
         let total = self.full_steps + self.memo_replayed + self.burst_retired;
         (total > 0).then(|| self.burst_retired as f64 / total as f64)
-    }
-
-    /// Mean deferred visits replayed per per-partition catch-up — the
-    /// length of the average deferral window as one partition sees it.
-    pub fn mean_deferral_window(&self) -> Option<f64> {
-        (self.replay_batches > 0).then(|| self.replayed_visits as f64 / self.replay_batches as f64)
     }
 }
 
@@ -260,6 +257,7 @@ impl pimsim_stats::Mergeable for StepMix {
         self.plan_spans_replayed += o.plan_spans_replayed;
         self.replay_batches += o.replay_batches;
         self.replayed_visits += o.replayed_visits;
+        self.partition_visits += o.partition_visits;
     }
 }
 
@@ -951,85 +949,63 @@ impl MemoryController {
         true
     }
 
-    /// A sound lower bound on (completion cycle − issue cycle) for every
-    /// column command this controller's channel can issue: reads complete
-    /// at `t_cl (+ burst)`, writes and PIM writes at `t_wl + burst`, PIM
-    /// reads at `t_cl` — so nothing ever completes earlier than
-    /// `min(t_cl, t_wl + burst)` after its issue tick. The deferral
-    /// machinery leans on this: any issue a deferred tick would have made
-    /// cannot produce an observable completion for at least this many
-    /// ticks, so a window no longer than this is always replayable.
-    pub fn min_completion_latency(&self) -> Cycle {
-        let (_, read_lat, write_lat) = self.channel.pim_burst_timing();
-        let l_min = read_lat.min(write_lat);
-        debug_assert!(l_min >= 1, "a zero-latency completion breaks deferral");
-        l_min
-    }
-
-    /// How far the owner may defer this controller's DRAM ticks, given
-    /// the next tick to service is `from`: every tick in
-    /// `[from, horizon)` is guaranteed to be reproducible later —
-    /// in O(1) through [`MemoryController::quiet_replay_span`] /
-    /// [`MemoryController::plan_replay_span`] / the idle fast path when
-    /// the regime allows, by exact per-tick [`MemoryController::step`]
-    /// replay otherwise — with no completion falling due inside the
-    /// window. Arrivals void the deferral on the owner's side.
-    /// `Some(Cycle::MAX)` means the controller is idle and stays idle
-    /// absent arrivals; `None` means batching is off (the eager oracle
-    /// needs its per-tick hand-off).
+    /// The first DRAM tick at or after `from` that needs a live
+    /// [`MemoryController::step`], or `None` while the controller is idle
+    /// (idle is sticky until an enqueue, and an owner only enqueues during
+    /// a live step). Every tick in `[from, horizon)` is replayable in one
+    /// call to [`MemoryController::plan_replay_span`] or
+    /// [`MemoryController::quiet_replay_span`] with bit-identical state, so
+    /// an owner with nothing else to ingest may skip them and catch up
+    /// later (DESIGN.md §4o). An early answer only costs a live step; a
+    /// late one would make the replay refuse.
     ///
-    /// The bound is built from two pieces, taking the minimum:
-    /// - the earliest heap completion, which must be popped at its exact
-    ///   tick. In batched mode PIM completions bypass the heap (they are
-    ///   deposited timestamped into the ack batch and *pulled* by the
-    ///   delivery stage, which replays lagging partitions before every
-    ///   drain), so the heap holds only MEM fills/writebacks here; and
-    /// - the regime bound, which applies only while MEM requests are
-    ///   queued: a MEM issue deposits an exact-tick heap completion, so
-    ///   no such completion can fall due before the earliest possible
-    ///   issue plus [`MemoryController::min_completion_latency`]. Inside
-    ///   a plan window the next scheduling decision is at `plan_until`;
-    ///   inside an armed stall window, at `stall_until`; an actively
-    ///   scheduling controller can issue as soon as `from` itself. With
-    ///   no MEM queued there is nothing production-bound in the window —
-    ///   PIM acks are pull-produced — and the regime is unbounded.
-    pub fn bulk_horizon(&self, from: Cycle) -> Option<Cycle> {
-        if !self.ack_batching {
+    /// - Inside a plan window with ack batching on: the plan's end or the
+    ///   next heap completion (a MEM writeback or fill must pop at its own
+    ///   tick), whichever is first. The eager path hands each PIM ack off
+    ///   per tick, so with batching off a plan tick is always live.
+    /// - Inside a stall window: the window's end, the next heap
+    ///   completion, or the first tick the controller goes idle — the
+    ///   owner skips idle ticks instead of accruing them, so the replay
+    ///   must stop there.
+    /// - Otherwise `from` itself: a full scheduling step is due.
+    pub fn service_horizon(&self, from: Cycle) -> Option<Cycle> {
+        if self.is_idle(from) {
             return None;
         }
-        if self.is_idle(from) {
-            return Some(Cycle::MAX);
-        }
-        let mem_due = self.completions.peek().map_or(Cycle::MAX, |c| c.at);
-        let regime = if self.queues.mem_len() == 0 {
-            Cycle::MAX
-        } else {
-            let l_min = self.min_completion_latency();
-            if from < self.plan_until {
-                self.plan_until.saturating_add(l_min)
-            } else if from < self.stall_until {
-                self.stall_until.saturating_add(l_min)
-            } else {
-                from.saturating_add(l_min)
+        let heap_due = self.completions.peek().map_or(Cycle::MAX, |c| c.at);
+        let wake = if from < self.plan_until {
+            if !self.ack_batching {
+                return Some(from);
             }
+            self.plan_until.min(heap_due)
+        } else if from < self.stall_until {
+            self.stall_until.min(heap_due).min(self.first_idle_tick())
+        } else {
+            from
         };
-        Some(regime.min(mem_due))
+        Some(wake.max(from))
     }
 
-    /// The earliest cycle a *new* enqueue arriving at DRAM tick `at`
-    /// could produce an observable completion. Unlike
-    /// [`MemoryController::bulk_horizon`]'s regime bound, this is sound
-    /// even though the arrival is not yet enqueued: an arrival cannot
-    /// issue before its own tick, and while a burst plan is live it
-    /// cannot issue before the plan's end either — plans survive
-    /// enqueues unconditionally. A stall memo offers no such cover (the
-    /// enqueue voids it and the freed controller may issue immediately),
-    /// so the bound deliberately ignores `stall_until`. The pull-driven
-    /// ack drain uses it to skip catching up a lagging partition whose
-    /// unproduced acks cannot be due yet.
-    pub fn arrival_bound(&self, at: Cycle) -> Cycle {
-        at.max(self.plan_until)
-            .saturating_add(self.min_completion_latency())
+    /// The first tick at which [`MemoryController::is_idle`] turns true
+    /// with no further step, or `Cycle::MAX` while queued, switching,
+    /// heap-held or unharvested work keeps the controller busy until a
+    /// step changes it. The remaining conditions only expire with time:
+    /// the channel goes quiescent at its last data beat, and a batched ack
+    /// keeps the controller busy through its completion tick.
+    fn first_idle_tick(&self) -> Cycle {
+        if !self.queues.is_empty()
+            || self.switch.is_some()
+            || !self.completions.is_empty()
+            || !self.ack_batch.is_empty()
+        {
+            return Cycle::MAX;
+        }
+        let acks_done = if self.ack_batching && self.ack_horizon > 0 {
+            self.ack_horizon + 1
+        } else {
+            0
+        };
+        self.channel.busy_until().unwrap_or(0).max(acks_done)
     }
 
     fn integrate_blp(&mut self, now: Cycle) {

@@ -1,45 +1,39 @@
-//! Persistent worker pool shared by the per-tick memory stage and the
-//! experiment sweeps.
+//! Persistent worker pool behind the experiment sweeps.
 //!
-//! The pool replaces two older spawn-per-call uses of `std::thread`:
+//! `experiments::sweep::parallel_map` fans independent simulations out
+//! across this pool, one job per simulation. Workers are spawned once
+//! and parked between batches. A batch is a `Vec` of boxed jobs; workers
+//! *and the calling thread* claim jobs with one `fetch_add` on a shared
+//! index, so heterogeneous job lengths balance and the caller never
+//! blocks on a queue it could drain itself.
 //!
-//! * `experiments::sweep::parallel_map` used to open a fresh
-//!   `std::thread::scope` per sweep (fine for coarse jobs, wasteful for
-//!   anything finer);
-//! * the sharded memory stage needs to fan 32 channel partitions out to
-//!   workers **every DRAM tick**, where spawn latency (tens of µs) would
-//!   dwarf the work being parallelized (a few µs).
-//!
-//! So workers are spawned once and parked between batches. A batch is a
-//! `Vec` of boxed jobs; workers *and the calling thread* claim jobs with
-//! one `fetch_add` on a shared index, so heterogeneous job lengths
-//! balance and the caller never blocks on a queue it could drain itself.
+//! Parallelism sits at sweep grain on purpose: a simulation's 32 memory
+//! partitions are too little work per GPU cycle to pay a per-cycle
+//! barrier (DESIGN.md §4f).
 //!
 //! # Safety model (no `unsafe`, no deps)
 //!
 //! Jobs are `'static`: callers move owned data in and get it back through
-//! whatever channel the closure captured (the memory stage rounds its
-//! partition boxes through an `Arc<Mutex<Vec<…>>>` bin). Nothing borrows
+//! whatever channel the closure captured (`parallel_map` writes each
+//! result into an `Arc`-shared slot per input index). Nothing borrows
 //! across threads, so the whole crate is `#![forbid(unsafe_code)]` like
 //! the rest of the workspace.
 //!
 //! # Nesting and re-entrancy
 //!
 //! The pool holds at most one active batch. A `run_batch` that finds the
-//! slot occupied (a sweep already fanned out, and one of its simulations
-//! is now trying to fan out its memory stage) simply runs its own jobs
-//! inline on the calling thread. That degrades nested parallelism to
-//! serial execution instead of deadlocking or oversubscribing the
-//! machine, and — because jobs never observe which thread ran them — has
-//! no effect on results.
+//! slot occupied (a sweep already fanned out, and one of its jobs runs a
+//! sweep of its own) simply runs its own jobs inline on the calling
+//! thread. That degrades nested parallelism to serial execution instead
+//! of deadlocking or oversubscribing the machine, and — because jobs
+//! never observe which thread ran them — has no effect on results.
 //!
 //! # Determinism
 //!
 //! The pool guarantees only that every job in a batch ran to completion
 //! when `run_batch` returns. Callers that need bit-identical results
-//! across thread counts must make their jobs mutually independent (the
-//! memory stage's partitions are shared-nothing per tick; sweep jobs are
-//! whole simulations).
+//! across thread counts must make their jobs mutually independent (sweep
+//! jobs are whole simulations).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,9 +47,9 @@ use std::time::Duration;
 /// A unit of work: owns everything it touches (see crate docs).
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Spin iterations before a waiter parks. Ticks arrive every few µs on
-/// the hot path, so a short spin usually catches the next batch; parking
-/// promptly matters more than spinning on machines with few cores.
+/// Spin iterations before a waiter parks. A short spin catches batches
+/// posted back to back; parking promptly matters more than spinning on
+/// machines with few cores.
 const SPIN_LIMIT: u32 = 256;
 
 /// Parked threads wake at least this often to re-check for work, so a
@@ -298,8 +292,7 @@ impl Drop for WorkerPool {
 }
 
 /// The `PIMSIM_THREADS` environment override, if set to a positive
-/// integer. One knob drives both consumers: the global pool's size (and
-/// therefore sweep width) and the memory stage's default shard count.
+/// integer: the global pool's size, and therefore the sweep width.
 pub fn env_threads() -> Option<usize> {
     std::env::var("PIMSIM_THREADS")
         .ok()
@@ -365,8 +358,7 @@ mod tests {
 
     #[test]
     fn results_round_trip_through_a_bin() {
-        // The memory stage's usage pattern: move owned state out, get it
-        // back through a captured bin.
+        // Move owned state out, get it back through a captured bin.
         let pool = WorkerPool::new(3);
         type Bin = Arc<Mutex<Vec<(usize, Vec<u64>)>>>;
         let bin: Bin = Arc::new(Mutex::new(Vec::new()));

@@ -15,7 +15,7 @@ use pimsim_workloads::{
 
 use crate::runner::Runner;
 
-use super::sweep::parallel_map;
+use super::sweep::{parallel_map_on, WorkerPool};
 
 /// One bar of Figure 5.
 #[derive(Debug, Clone)]
@@ -32,10 +32,21 @@ pub struct InterferenceBar {
 /// For every Rodinia kernel (on 72 SMs) × co-runner (on 8 SMs), measures
 /// the victim's first-run time and normalizes to its 80-SM standalone run.
 pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<InterferenceBar> {
+    run_interference_on(pimsim_pool::global(), system, scale, budget)
+}
+
+/// [`run_interference`] on an explicit sweep pool (the pool-width scaling
+/// measurement pins the width this way).
+pub fn run_interference_on(
+    pool: &WorkerPool,
+    system: &SystemConfig,
+    scale: f64,
+    budget: u64,
+) -> Vec<InterferenceBar> {
     let victims = GpuBenchmark::all();
     // 80-SM standalone baselines.
     let sys = system.clone();
-    let base80: Vec<u64> = parallel_map(victims.clone(), move |v| {
+    let base80: Vec<u64> = parallel_map_on(pool, victims.clone(), move |v| {
         let mut r = Runner::new(sys.clone(), PolicyKind::FrFcfs);
         r.max_gpu_cycles = budget * 4;
         r.standalone(Box::new(gpu_kernel(v, 80, scale)), 0, false)
@@ -64,7 +75,7 @@ pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<I
         }
     }
     let sys = system.clone();
-    let speedups = parallel_map(jobs, move |(vi, v, ci, c)| {
+    let speedups = parallel_map_on(pool, jobs, move |(vi, v, ci, c)| {
         let mut r = Runner::new(sys.clone(), PolicyKind::FrFcfs);
         r.max_gpu_cycles = budget;
         let victim = Box::new(gpu_kernel(v, 72, scale));

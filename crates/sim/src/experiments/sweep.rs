@@ -3,22 +3,14 @@
 
 use std::sync::{Arc, Mutex};
 
-/// Chunk jobs push their `(input index, output)` pairs here; the caller
-/// merges the chunks back into input order after the batch joins.
-type ChunkBin<T> = Arc<Mutex<Vec<Vec<(usize, T)>>>>;
+pub use pimsim_pool::WorkerPool;
 
 /// Applies `f` to every item, fanning out across the process-wide worker
 /// pool, and returns results in input order.
 ///
-/// Items are split into chunks (a few per pool lane, so heterogeneous
-/// simulation lengths still balance); each chunk job computes its outputs
-/// into a plain `Vec<(index, T)>` and pushes the whole chunk into a
-/// shared bin, merged back into input order at join. A panic in any
-/// worker propagates to the caller.
-///
 /// The pool is sized by `PIMSIM_THREADS` when set, else by the machine's
 /// available parallelism; at width 1 this degenerates to a plain serial
-/// map on the calling thread.
+/// map on the calling thread. See [`parallel_map_on`] for the dispatch.
 ///
 /// # Example
 ///
@@ -34,52 +26,49 @@ where
     T: Send + 'static,
     F: Fn(I) -> T + Send + Sync + 'static,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let pool = pimsim_pool::global();
-    let threads = pool.threads().min(n);
-    if threads <= 1 {
+    parallel_map_on(pimsim_pool::global(), items, f)
+}
+
+/// [`parallel_map`] on an explicit pool, for callers that pin the width.
+///
+/// Each item is its own pool job: sweep items are whole simulations, so
+/// dispatch costs nothing next to them, and per-item claiming keeps every
+/// lane busy until the last item starts. Each job writes its output into
+/// the slot of its input index. A panic in any job propagates to the
+/// caller.
+pub fn parallel_map_on<I, T, F>(pool: &WorkerPool, items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send + 'static,
+    T: Send + 'static,
+    F: Fn(I) -> T + Send + Sync + 'static,
+{
+    if pool.threads().min(items.len()) <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // A few chunks per lane: coarse enough to amortize dispatch, fine
-    // enough that one long chunk can't leave the other lanes idle.
-    let chunk_len = n.div_ceil(threads * 4).max(1);
     let f = Arc::new(f);
-    let bin: ChunkBin<T> = Arc::new(Mutex::new(Vec::new()));
-    let mut jobs: Vec<pimsim_pool::Job> = Vec::with_capacity(n.div_ceil(chunk_len));
-    let mut items = items.into_iter();
-    let mut base = 0usize;
-    loop {
-        let chunk: Vec<I> = items.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let start = base;
-        base += chunk.len();
-        let f = Arc::clone(&f);
-        let bin = Arc::clone(&bin);
-        jobs.push(Box::new(move || {
-            let out: Vec<(usize, T)> = chunk
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| (start + i, f(item)))
-                .collect();
-            bin.lock().expect("result bin poisoned").push(out);
-        }));
-    }
-    pool.run_batch(jobs); // propagates worker panics
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for chunk in bin.lock().expect("result bin poisoned").drain(..) {
-        for (idx, value) in chunk {
-            debug_assert!(slots[idx].is_none(), "index produced twice");
-            slots[idx] = Some(value);
-        }
-    }
-    slots
+    let slots: Arc<Vec<Mutex<Option<T>>>> =
+        Arc::new(items.iter().map(|_| Mutex::new(None)).collect());
+    let jobs: Vec<pimsim_pool::Job> = items
         .into_iter()
-        .map(|slot| slot.expect("every index filled"))
+        .enumerate()
+        .map(|(i, item)| {
+            let f = Arc::clone(&f);
+            let slots = Arc::clone(&slots);
+            Box::new(move || {
+                let out = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some(out);
+            }) as pimsim_pool::Job
+        })
+        .collect();
+    pool.run_batch(jobs); // propagates job panics
+    slots
+        .iter()
+        .map(|slot| {
+            slot.lock()
+                .expect("result slot poisoned")
+                .take()
+                .expect("every index filled")
+        })
         .collect()
 }
 
@@ -135,10 +124,19 @@ mod tests {
     }
 
     #[test]
+    fn explicit_widths_agree() {
+        let serial: Vec<u64> = (0..50u64).map(|x| x * 3 + 1).collect();
+        for width in [1, 2, 8] {
+            let pool = WorkerPool::new(width);
+            let out = parallel_map_on(&pool, (0..50u64).collect(), |x| x * 3 + 1);
+            assert_eq!(out, serial, "width {width}");
+        }
+    }
+
+    #[test]
     fn nests_without_deadlocking() {
-        // A sweep whose jobs themselves call parallel_map (as simulations
-        // with a parallel memory stage do, via the shared pool) must
-        // complete — inner calls degrade to inline execution.
+        // A sweep whose jobs themselves call parallel_map must complete —
+        // inner calls degrade to inline execution.
         let out = parallel_map((0..8u64).collect(), |x| {
             parallel_map((0..8u64).collect(), move |y| x * 8 + y)
                 .into_iter()

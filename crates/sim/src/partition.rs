@@ -72,14 +72,6 @@ pub struct Partition {
     /// ack is observable at exactly the tick the eager per-tick path
     /// would have delivered it (DESIGN.md §4k).
     acks: Schedule<Request>,
-    /// Non-PIM requests currently staged across the ingress and L2→DRAM
-    /// ports — an O(1) mirror of scanning both ports, kept so the
-    /// pure-PIM test in [`Partition::bulk_horizon`] costs nothing on the
-    /// per-eject horizon invalidation path. Updated at every port
-    /// entry/exit; pushing through [`Partition::ingress_mut`] bypasses
-    /// the accounting (the debug cross-check in `bulk_horizon` trips if
-    /// a driver does that and then defers).
-    staged_mem: usize,
     /// Round-robin pointers for lane service.
     rr_icnt: usize,
     rr_l2dram: usize,
@@ -109,7 +101,6 @@ impl Partition {
             pending_writebacks: VecDeque::new(),
             reply: Wire::unbounded(),
             acks: Schedule::new(),
-            staged_mem: 0,
             rr_icnt: 0,
             rr_l2dram: 0,
             next_internal_id: 0,
@@ -121,10 +112,10 @@ impl Partition {
     /// from this partition's own ID lane:
     /// `INTERNAL_ID_BIT | (channel << INTERNAL_LANE_SHIFT) | counter`.
     ///
-    /// Minting touches no cross-partition state, so partitions can step
-    /// concurrently, and the sequence a partition mints depends only on
-    /// its own traffic — identical whether the stage runs serial or
-    /// parallel, with fast-forward on or off.
+    /// Minting touches no cross-partition state, so the sequence a
+    /// partition mints depends only on its own traffic — identical with
+    /// fast-forward on or off, whichever cycles the partition sleeps
+    /// through.
     pub(crate) fn mint_internal_id(&mut self) -> RequestId {
         debug_assert!(
             self.next_internal_id < 1 << INTERNAL_LANE_SHIFT,
@@ -215,11 +206,7 @@ impl Partition {
     /// Accepts a request from the interconnect on `vc`, returning whether
     /// the ingress lane had credit (the crossbar's eject hand-off).
     pub fn try_accept(&mut self, vc: usize, req: Request) -> bool {
-        let accepted = self.ingress.lane_mut(vc).try_send(req).is_ok();
-        if accepted && !req.kind.is_pim() {
-            self.staged_mem += 1;
-        }
-        accepted
+        self.ingress.lane_mut(vc).try_send(req).is_ok()
     }
 
     /// One GPU-clock step of the L2 stage. Fill and writeback IDs are
@@ -259,7 +246,6 @@ impl Partition {
         while !self.pending_writebacks.is_empty() && self.to_dram.lane(vc).can_accept() {
             let wb = self.pending_writebacks.pop_front().expect("nonempty");
             self.to_dram.lane_mut(vc).send(wb);
-            self.staged_mem += 1;
             self.stats.writebacks_sent += 1;
         }
     }
@@ -317,13 +303,10 @@ impl Partition {
         match self.l2.access(head, now) {
             AccessOutcome::Hit => {
                 self.ingress.lane_mut(vc).recv();
-                self.staged_mem -= 1;
                 self.l2_delay.push_back((now + self.l2.latency(), head));
                 true
             }
             AccessOutcome::MissAllocated => {
-                // The head leaves the ingress and its fill enters the
-                // L2→DRAM port: staged_mem is unchanged.
                 self.ingress.lane_mut(vc).recv();
                 let id = self.mint_internal_id();
                 let fill = Request::new(
@@ -340,7 +323,6 @@ impl Partition {
             }
             AccessOutcome::MissMerged => {
                 self.ingress.lane_mut(vc).recv();
-                self.staged_mem -= 1;
                 true
             }
             AccessOutcome::Blocked => false,
@@ -383,9 +365,6 @@ impl Partition {
                     continue;
                 }
                 self.to_dram.lane_mut(vc).recv();
-                if !is_pim {
-                    self.staged_mem -= 1;
-                }
                 let decoded = match head.kind {
                     RequestKind::Pim(cmd) => DecodedAddr {
                         channel: cmd.channel,
@@ -458,155 +437,67 @@ impl Partition {
         }
     }
 
-    /// Whether the GPU-clock L2 front half has nothing to do — a
-    /// [`Partition::step_l2`] call would provably mutate nothing. The
-    /// outbound reply wire is deliberately excluded: the reply network
-    /// drains it without any L2 involvement.
-    pub fn l2_quiet(&self) -> bool {
-        self.ingress.is_empty()
-            && self.l2_delay.is_empty()
-            && self.pending_fills.is_empty()
-            && self.pending_writebacks.is_empty()
-    }
-
-    /// Whether any staged request in `port` is a MEM (non-PIM) request.
-    fn port_has_mem(port: &Port<Request>) -> bool {
-        port.lanes()
-            .any(|lane| lane.iter().any(|r| !r.kind.is_pim()))
-    }
-
-    /// How far the memory stage may defer this partition's servicing
-    /// (both the L2 front half and DRAM ticks), given the next
-    /// unserviced DRAM tick is `from`: every tick in `[from, horizon)`
-    /// is reproducible later by [`Partition::replay_spans`] with
-    /// bit-identical state and no observable (reply, ack delivery, fill)
-    /// surfacing inside the window — provided no request is ejected into
-    /// the partition in between (the memory stage re-derives the horizon
-    /// on any `partition_mut` access). `None` means the partition needs
-    /// live per-cycle service.
-    ///
-    /// MEM-side work refuses deferral outright: L2 hits, fills, and
-    /// writebacks push replies at cycle granularity. A *pure-PIM*
-    /// pipeline (staged PIM requests in the ingress or L2→DRAM ports)
-    /// is deferrable and does not bound the window: PIM bypasses the
-    /// L2, touches no reply wire, and the acks it produces are pulled
-    /// by the delivery stage, which replays lagging partitions before
-    /// every drain — so no production deadline falls inside the window.
-    /// The one coupling to MEM state is the reply-wire backpressure
-    /// threshold in the L2 service loop: while the wire sits below
-    /// `REPLY_OUT_CAP` and only drains (nothing in a pure-PIM window
-    /// pushes it), the threshold check resolves identically live and at
-    /// replay; at or above the cap the stall could lift mid-window, so
-    /// defer is refused.
-    pub fn bulk_horizon(&self, from: Cycle) -> Option<Cycle> {
-        if !self.l2_delay.is_empty()
+    /// The first GPU cycle after `now` at which [`Partition::step_l2`]
+    /// can mutate anything, or `Cycle::MAX` while the L2 front half holds
+    /// no work (DESIGN.md §4o). Buffered ingress, fills or writebacks need
+    /// the very next cycle; otherwise only the L2 hit pipeline's head
+    /// matures on its own. A non-empty reply wire also keeps the
+    /// partition due every cycle, so the memory stage's `replies_pending`
+    /// summary — taken over visited partitions only — sees every queued
+    /// reply.
+    pub fn l2_wake(&self, now: Cycle) -> Cycle {
+        if !self.ingress.is_empty()
             || !self.pending_fills.is_empty()
             || !self.pending_writebacks.is_empty()
+            || !self.reply.is_empty()
         {
-            return None;
+            return now + 1;
         }
-        let pipeline = !self.ingress.is_empty() || !self.to_dram.is_empty();
-        debug_assert_eq!(
-            self.staged_mem > 0,
-            Self::port_has_mem(&self.ingress) || Self::port_has_mem(&self.to_dram),
-            "staged_mem counter out of sync with the port contents"
-        );
-        if pipeline && (self.reply.len() >= REPLY_OUT_CAP || self.staged_mem > 0) {
-            return None;
-        }
-        // Buffered pure-PIM work does not bound the window: ingestion
-        // and issue replay through the live code paths, and the acks
-        // they produce are *pulled* by the delivery stage (which replays
-        // lagging partitions before every drain), so no production
-        // deadline falls inside the window. MEM work cannot hide here —
-        // `staged_mem > 0` refused above — so the controller's own
-        // horizon (exact-tick MEM completions, MEM regime bound) is the
-        // whole story.
-        self.mc.bulk_horizon(from)
+        self.l2_delay
+            .front()
+            .map_or(Cycle::MAX, |&(ready, _)| ready.max(now + 1))
     }
 
-    /// Replays deferred stage visits `(gpu_cycle, first_dram_tick,
-    /// dram_ticks)` — the catch-up half of the
-    /// [`Partition::bulk_horizon`] contract. With the pipeline frozen
-    /// (nothing staged in the ports and a quiet L2 front half — deferral
-    /// voids on ejects, so nothing changed since the horizon was taken),
-    /// the GPU-cycle L2 steps are provable no-ops and the DRAM ticks
-    /// collapse into one contiguous span through
-    /// [`Partition::catch_up_span`]. With staged pure-PIM work the spans
-    /// replay through the *live* code path — `step_l2` plus
-    /// `step_dram_span` per recorded visit — which is bit-identical to
-    /// having never deferred, until the pipeline drains and the rest of
-    /// the spans collapse.
-    pub fn replay_spans(&mut self, spans: &[(Cycle, Cycle, u64)], mapper: &AddressMapper) {
-        let Some(&(_, last_first, last_ticks)) = spans.last() else {
-            return;
-        };
-        for &(gpu_now, first_dram, ticks) in spans {
-            // With the ports empty and the L2 front half quiet, the
-            // remaining visits provably touch only the controller, so
-            // their DRAM ticks fold into one span.
-            if self.l2_quiet() && self.to_dram.is_empty() {
-                self.catch_up_span(first_dram, last_first + last_ticks - first_dram);
-                return;
-            }
-            self.step_l2(gpu_now);
-            self.step_dram_span(first_dram, ticks, mapper);
+    /// The first DRAM tick at or after `from` that needs a live
+    /// [`Partition::step_dram`], or `Cycle::MAX` while the DRAM side is
+    /// idle: a staged request must be ingested at the next tick, else the
+    /// controller's [`MemoryController::service_horizon`] decides. Every
+    /// tick before the answer is replayable by [`Partition::catch_up_span`].
+    pub fn dram_wake(&self, from: Cycle) -> Cycle {
+        if !self.to_dram.is_empty() {
+            return from;
         }
+        self.mc.service_horizon(from).unwrap_or(Cycle::MAX)
     }
 
-    /// Replays the deferred DRAM ticks `[first, first+ticks)` for a
-    /// partition with a frozen, empty pipeline: nothing to ingest, so
-    /// this never consults the address mapper — it bulk-replays the span
-    /// through the controller's stall memo or plan window, falling back
-    /// to per-tick controller steps without the ingest scan.
+    /// Replays the DRAM ticks `[first, first + ticks)` that the memory
+    /// stage skipped because [`Partition::dram_wake`] lay beyond them:
+    /// nothing is staged to ingest, so the span is a no-op for an idle
+    /// controller and one bulk replay through its stall memo or plan
+    /// window otherwise — O(1) in the span length. A late wake would make
+    /// both replays refuse; debug builds panic on that, release builds
+    /// fall back to exact per-tick controller steps.
     pub fn catch_up_span(&mut self, first: Cycle, ticks: u64) {
         if ticks == 0 {
             return;
         }
-        debug_assert!(self.to_dram.is_empty(), "deferred span had an ingest");
-        if self.mc.quiet_replay_span(first, ticks) || self.mc.plan_replay_span(first, ticks) {
+        debug_assert!(self.to_dram.is_empty(), "a staged ingest needs a live tick");
+        let replayed = self.mc.is_idle(first)
+            || self.mc.quiet_replay_span(first, ticks)
+            || self.mc.plan_replay_span(first, ticks);
+        debug_assert!(
+            replayed,
+            "catch-up span [{first}, +{ticks}) holds a due tick"
+        );
+        if replayed {
             return;
         }
-        for t in 0..ticks {
-            let now = first + t;
-            if self.mc.is_idle(now) {
-                continue;
+        for now in first..first + ticks {
+            if !self.mc.is_idle(now) {
+                self.mc.step(now);
+                self.harvest_completions(now);
             }
-            self.mc.step(now);
-            self.harvest_completions(now);
         }
-    }
-
-    /// The earliest DRAM cycle at or after `dram_now` at which this
-    /// partition has work, or `None` while it holds none anywhere
-    /// (staging ports, L2 pipeline, controller, reply/ack wires). When
-    /// the controller is the only busy piece, its answer (which can be a
-    /// future cycle inside a stall window) passes through; otherwise an
-    /// active partition answers `dram_now`.
-    pub fn next_activity_cycle(&self, dram_now: Cycle) -> Option<Cycle> {
-        if self.ingress.is_empty()
-            && self.to_dram.is_empty()
-            && self.l2_delay.is_empty()
-            && self.pending_fills.is_empty()
-            && self.pending_writebacks.is_empty()
-            && self.reply.is_empty()
-            && self.acks.is_empty()
-        {
-            return self.mc.next_activity_cycle(dram_now);
-        }
-        Some(dram_now)
-    }
-
-    /// Whether the partition holds no work at all.
-    pub fn is_idle(&self, dram_now: Cycle) -> bool {
-        self.ingress.is_empty()
-            && self.to_dram.is_empty()
-            && self.l2_delay.is_empty()
-            && self.pending_fills.is_empty()
-            && self.pending_writebacks.is_empty()
-            && self.reply.is_empty()
-            && self.acks.is_empty()
-            && self.mc.is_idle(dram_now)
     }
 }
 
@@ -624,8 +515,21 @@ impl Component for Partition {
         self.step_dram(now, mapper);
     }
 
+    /// `None` while the partition holds no work anywhere (staging ports,
+    /// L2 pipeline, controller, reply/ack wires); the controller's own
+    /// answer when it is the only busy piece; `now` otherwise.
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        Partition::next_activity_cycle(self, now)
+        if self.ingress.is_empty()
+            && self.to_dram.is_empty()
+            && self.l2_delay.is_empty()
+            && self.pending_fills.is_empty()
+            && self.pending_writebacks.is_empty()
+            && self.reply.is_empty()
+            && self.acks.is_empty()
+        {
+            return self.mc.next_activity_cycle(now);
+        }
+        Some(now)
     }
 }
 
@@ -803,8 +707,7 @@ mod tests {
     fn internal_id_lanes_never_collide_across_channels() {
         // One partition per channel, each minting a burst of internal IDs:
         // every ID must be unique, tagged, and monotone within its lane —
-        // the exact properties parallel stepping and the completion-heap
-        // tie-break rely on.
+        // the exact properties the completion-heap tie-break relies on.
         let c = cfg();
         let mut seen = std::collections::HashSet::new();
         for ch in 0..32 {

@@ -101,7 +101,8 @@ impl ClockCoupler {
             return self.gpu;
         }
         let s = dram_bound - self.dram;
-        let span = ((s + 1)
+        let span = (s
+            .saturating_add(1)
             .saturating_mul(self.den)
             .saturating_sub(1)
             .saturating_sub(self.acc))

@@ -14,8 +14,9 @@ pub const INTERNAL_ID_BIT: u64 = 1 << 63;
 /// `INTERNAL_ID_BIT | (channel << INTERNAL_LANE_SHIFT) | counter`.
 ///
 /// Each partition mints internal IDs from its own counter (the lane), so
-/// minting needs no cross-partition state — the requirement for stepping
-/// partitions in parallel — while IDs stay globally unique (seven lane
+/// minting needs no cross-partition state — a partition's sequence does
+/// not depend on which cycles other partitions are visited — while IDs
+/// stay globally unique (seven lane
 /// bits cover up to 128 channels) and monotone *within* a partition.
 /// Within-partition monotonicity is the property the controller's
 /// completion-heap tie-break depends on; internal IDs never cross

@@ -58,7 +58,7 @@ impl Simulator {
                     })
                     .collect::<Vec<_>>()
                     .join(", ");
-                // Account any deferred production before handing control
+                // Catch sleeping partitions up before handing control
                 // (and the stats surface) back to the caller.
                 self.sync_memory();
                 return Err(CycleBudgetExceeded {
@@ -122,7 +122,11 @@ impl Simulator {
         mix.ticks_reply_net = t.reply_net;
         mix.ticks_completion = t.completion;
         mix.completions_delivered = self.completion_stage_delivered();
-        (mix.replay_batches, mix.replayed_visits) = self.memory.replay_counters();
+        (
+            mix.replay_batches,
+            mix.replayed_visits,
+            mix.partition_visits,
+        ) = self.memory.visit_counters();
         mix
     }
 

@@ -43,10 +43,8 @@ pub struct Runner {
     /// Inert shim: `pimbench` is its only reader.
     #[doc(hidden)]
     pub eject_batching: bool,
-    /// Shard width for the per-cycle memory stage (`None` keeps the
-    /// simulator's default: `PIMSIM_THREADS` if set, else serial).
-    /// Results are bit-identical at every width; see
-    /// [`Simulator::set_memory_threads`].
+    /// Inert shim: `pimbench` is its only reader.
+    #[doc(hidden)]
     pub memory_threads: Option<usize>,
 }
 
@@ -86,9 +84,6 @@ impl Runner {
         sim.set_fast_forward(self.fast_forward);
         sim.set_event_delivery(self.event_delivery);
         sim.set_ack_batching(self.ack_batching);
-        if let Some(threads) = self.memory_threads {
-            sim.set_memory_threads(threads);
-        }
         sim
     }
 }

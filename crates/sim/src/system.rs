@@ -107,7 +107,7 @@ pub(crate) struct StageTicks {
 /// ```
 pub struct Simulator {
     pub(crate) cfg: SystemConfig,
-    /// Shared (immutable) so parallel partition jobs can hold it.
+    /// Address decoding, shared with kernel-side request routing.
     mapper: Arc<AddressMapper>,
     issue: IssueStage,
     request_net: RequestNet,
@@ -152,7 +152,7 @@ impl Simulator {
         let mut sim = Simulator {
             issue: IssueStage::new(cfg.gpu.num_sms, cfg.gpu.max_outstanding_mem_per_sm),
             request_net: RequestNet::new(&cfg),
-            memory: MemoryStage::new(&cfg, policy, Arc::clone(&mapper)),
+            memory: MemoryStage::new(&cfg, policy),
             reply_net: ReplyNet::new(&cfg),
             completion: CompletionStage::new(),
             clock: ClockCoupler::new(clock_num, clock_den),
@@ -238,14 +238,14 @@ impl Simulator {
 
     /// Enables or disables retire-time ack batching (on by default).
     /// With it on, each controller emits a burst plan's completions as
-    /// one timestamped batch at retire time, the partitions hold them in
-    /// a time-ordered schedule, and the memory stage defers whole plan /
-    /// stall windows instead of ticking through them — each ack still
-    /// becomes *observable* at its exact analytic cycle (DESIGN.md §4k).
-    /// With it off, every completion is produced by a per-tick
-    /// controller step — the eager oracle. Both modes produce
-    /// bit-identical observables (cycle counts, McStats, goldens); only
-    /// the step mix's tick counters differ. Toggle before running.
+    /// one timestamped batch at retire time and the partitions hold them
+    /// in a time-ordered schedule, so a plan window needs no per-tick
+    /// visit (DESIGN.md §4o) while each ack still becomes *observable* at
+    /// its exact analytic cycle (DESIGN.md §4k). With it off, every
+    /// completion is produced by a per-tick controller step — the eager
+    /// oracle. Both modes produce bit-identical observables (cycle
+    /// counts, McStats, goldens); only the step mix's counters differ.
+    /// Toggle before running.
     pub fn set_ack_batching(&mut self, on: bool) {
         self.ack_batching = on;
         for c in 0..self.memory.channel_count() {
@@ -262,13 +262,15 @@ impl Simulator {
     #[doc(hidden)]
     pub fn set_eject_batching(&mut self, _on: bool) {}
 
-    /// Replays any deferred memory-stage production up to the current
-    /// DRAM service point. Must run before stats are harvested or
-    /// partitions are inspected out of band — the run loop calls it on
-    /// both exits so end-of-run observers never see a partition whose
-    /// deferred span is unaccounted.
-    pub(crate) fn sync_memory(&mut self) {
-        self.memory.catch_up_to(self.clock.dram_now());
+    /// Catches every memory partition up to the current DRAM cycle.
+    /// Partitions with no work due sleep through cycles and replay them
+    /// lazily (DESIGN.md §4o), so their controller stats and queue
+    /// lengths may lag while the simulator is stepped by hand. Call this
+    /// before reading [`Simulator::partition`], [`Simulator::partitions`]
+    /// or the `merged_*` stats mid-run. The run loops call it on both
+    /// exits. Results never depend on whether or when it is called.
+    pub fn sync_memory(&mut self) {
+        self.memory.sync();
     }
 
     /// `(jumps taken, GPU cycles covered by jumps)` — how much of the run
@@ -341,13 +343,10 @@ impl Simulator {
         self.memory.get(c)
     }
 
-    /// Sets how many threads step the memory partitions each cycle
-    /// (1 = serial, the default unless `PIMSIM_THREADS` is set). Results
-    /// are bit-identical at every width; see
-    /// [`crate::pipeline::MemoryStage::set_threads`].
-    pub fn set_memory_threads(&mut self, threads: usize) {
-        self.memory.set_threads(threads);
-    }
+    /// Inert shim: `pimbench` is its only caller. The memory stage is
+    /// serial; parallelism lives in sweeps (DESIGN.md §4f).
+    #[doc(hidden)]
+    pub fn set_memory_threads(&mut self, _threads: usize) {}
 
     /// GPU cycles elapsed.
     pub fn gpu_cycles(&self) -> u64 {
@@ -407,31 +406,13 @@ impl Simulator {
 
         // 3+4. The memory stage's whole cycle: L2 front halves (GPU
         // clock) plus every pending DRAM tick (exact integer rational
-        // coupling) — one serial pass at width 1, one sharded pool batch
-        // otherwise.
+        // coupling), on the partitions with work due in it (DESIGN.md
+        // §4o).
         self.clock.accrue_gpu_cycle();
         let (first_dram, dram_ticks) = self.clock.take_dram_span();
-        // Retire-time batching: when every partition reports a bulk
-        // horizon covering this visit's window — MEM-side state quiet,
-        // controllers idle / in plan or stall windows / simply unable to
-        // complete anything within `min_completion_latency` ticks, and
-        // at most pure-PIM work staged in the ports — the whole cycle is
-        // recorded as deferred instead of stepped. Partitions replay
-        // their share of the recorded visits lazily: on the next eject
-        // into them (`partition_mut`), on the next live step, or at the
-        // next global catch-up — through the exact live code paths, so
-        // state is bit-identical and no observable (reply, ack, fill)
-        // could have surfaced inside the window. Deferred cycles do not
-        // count as memory-stage ticks: that asymmetry *is* the measured
-        // win (the `ticks_memory` gate). A refusal from a partition that
-        // lags the stage is re-checked after catching just it up.
-        if self.ack_batching && self.memory.can_defer_through(first_dram + dram_ticks) {
-            self.memory.defer_cycle(now, first_dram, dram_ticks);
-        } else {
-            self.memory
-                .step_cycle_all(now, first_dram, dram_ticks, &self.mapper);
-            self.stage_ticks.memory += 1;
-        }
+        self.memory
+            .step_cycle_all(now, first_dram, dram_ticks, &self.mapper);
+        self.stage_ticks.memory += 1;
         Self::lap(&mut mark, &mut prof, |p| &mut p.memory_ns);
 
         // 5. PIM acks (credit return, out-of-band). Event-driven: acks
@@ -458,8 +439,6 @@ impl Simulator {
             // span above ended at `dram_now() - 1`), so that is the drain
             // limit. Eager production pops each completion on its own
             // tick with the same bound, so both modes drain identically.
-            // Production is pull-driven: the drain replays lagging
-            // partitions first.
             let ack_limit = self.clock.dram_now().saturating_sub(1);
             self.completion.collect_acks(
                 &mut self.memory,
@@ -522,21 +501,18 @@ impl Simulator {
     /// at `limit`. Returns whether any cycles were skipped.
     ///
     /// Soundness: the jump is taken only when both network stages report
-    /// no activity and every memory partition is either fully idle or
-    /// *quiet* — all of its buffers empty and its controller inside a
-    /// stall window (its activity horizon strictly in the future). In
-    /// that state a lock-step [`Simulator::step`] mutates nothing but the
-    /// cycle counters and the quiet controllers' stats integrals — issue
-    /// finds no ready kernel (by the [`KernelModel::next_activity_cycle`]
-    /// contract), the crossbars add zero to their occupancy integrals
-    /// without touching arbiter state, the L2 stages find empty ports,
-    /// and each quiet controller's cycles are replayed exactly by
-    /// [`MemoryStage::quiet_replay_all`] after the jump. The skip is
-    /// bounded by both the earliest kernel-pacing event and (via
-    /// [`ClockCoupler::max_jump_for_dram_bound`]) the memory stage's
-    /// horizon, so no skipped DRAM tick ever reaches a cycle where a
-    /// controller would issue a command, pop a completion, or service a
-    /// refresh.
+    /// no activity and no memory partition has a wake inside the span
+    /// (DESIGN.md §4o). In that state a lock-step [`Simulator::step`]
+    /// mutates nothing but the cycle counters and the sleeping
+    /// controllers' stats integrals — issue finds no ready kernel (by the
+    /// [`KernelModel::next_activity_cycle`] contract), the crossbars add
+    /// zero to their occupancy integrals without touching arbiter state,
+    /// and the memory stage visits nobody. The sleeping controllers catch
+    /// the span up on their next visit, exactly as they would after
+    /// sleeping through stepped cycles. The skip is bounded by the
+    /// earliest kernel-pacing event, the earliest GPU-side wake and (via
+    /// [`ClockCoupler::max_jump_for_dram_bound`]) the earliest DRAM-side
+    /// wake, so no skipped cycle is one a partition needed live.
     pub(crate) fn skip_idle_span(&mut self, limit: Cycle) -> bool {
         let now = self.clock.gpu_now();
         if now >= limit {
@@ -558,20 +534,13 @@ impl Simulator {
             return false;
         }
         let dram_now = self.clock.dram_now();
-        // Replay any deferred production *before* the activity probe: the
-        // probe memoizes partitions as known-idle and the catch-up skips
-        // memoized ones, so probing first would lose the deferred span's
-        // stats integrals. (A deferred partition is mid plan/stall and
-        // never probes idle, but the ordering makes that a non-issue.)
-        self.memory.catch_up_to(dram_now);
-        let mem_horizon = self.memory.next_activity_cycle(dram_now);
-        if mem_horizon.is_some_and(|at| at <= dram_now) {
-            // Some partition needs servicing this very DRAM cycle
-            // (buffered work, or a controller mid burst plan).
+        let (gpu_wake, dram_wake) = self.memory.next_wake();
+        if gpu_wake <= now || dram_wake <= dram_now {
+            // Some partition needs servicing this very cycle.
             return false;
         }
         // Nothing needs per-cycle servicing: only kernel pacing (and the
-        // memory horizon, folded in below) can create work.
+        // memory wakes, folded in below) can create work.
         let target = self
             .kernels
             .iter()
@@ -583,12 +552,12 @@ impl Simulator {
             // the budget exactly as it would with fast-forward off.
             return false;
         };
-        let mut target = target.min(limit);
-        if let Some(h) = mem_horizon {
-            // Every skipped DRAM tick must stay strictly below the
-            // horizon: cap the jump so `dram_now()` lands at most on `h`.
-            target = target.min(self.clock.max_jump_for_dram_bound(h));
-        }
+        // Every skipped DRAM tick must stay strictly below the DRAM wake:
+        // cap the jump so `dram_now()` lands at most on it.
+        let target = target
+            .min(limit)
+            .min(gpu_wake)
+            .min(self.clock.max_jump_for_dram_bound(dram_wake));
         if target <= now {
             return false;
         }
@@ -601,10 +570,7 @@ impl Simulator {
             && self.reply_net.skip_quiet_span(now, target - now);
         debug_assert!(quiet, "skip licensed with flits buffered in a crossbar");
         self.clock.jump_to(target);
-        if mem_horizon.is_some() {
-            let ticks = self.clock.dram_now() - dram_now;
-            self.memory.quiet_replay_all(dram_now, ticks, &self.mapper);
-        }
+        self.memory.skip_to(self.clock.dram_now());
         true
     }
 }

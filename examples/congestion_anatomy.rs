@@ -15,7 +15,10 @@ use pim_coscheduling::prelude::*;
 use pim_coscheduling::sim::Simulator;
 use pim_coscheduling::workloads::{gpu_kernel, pim_kernel};
 
-fn snapshot(sim: &Simulator) -> (usize, usize, usize, usize, usize) {
+/// Occupancies at the current cycle. Partitions with no work due sleep
+/// and catch up lazily, so the memory stage is synced first.
+fn snapshot(sim: &mut Simulator) -> (usize, usize, usize, usize, usize) {
+    sim.sync_memory();
     let mut icnt = 0;
     let mut l2d = 0;
     let mut memq = 0;
@@ -60,7 +63,7 @@ fn main() {
             for _ in 0..250 {
                 sim.step();
             }
-            let (noc, icnt, l2d, memq, pimq) = snapshot(&sim);
+            let (noc, icnt, l2d, memq, pimq) = snapshot(&mut sim);
             println!(
                 "{:>7} {:>8} {:>9} {:>8} {:>7} {:>7}",
                 (step + 1) * 250,

@@ -42,6 +42,8 @@ fn main() {
             let mut mem = 0u32;
             for _ in 0..25 {
                 sim.step();
+                // Sleeping partitions catch up lazily; sync before reading.
+                sim.sync_memory();
                 if sim.partition(0).mc.mode() == Mode::Mem {
                     mem += 1;
                 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # A/B comparison of two checkouts on the repository benchmark (pimbench):
-# ROUNDS pairs of runs of each workload at seed 0, each side built once
+# ROUNDS pairs of runs of each workload at one seed, each side built once
 # from its own checkout by its own pimbench/run.sh. Pairs alternate
 # which side runs first, so both sides see the same drift in host load.
 # Per workload, prints every round's five end-to-end metrics and
@@ -9,7 +9,7 @@
 # was better. Workloads run one after another, each with its own table.
 #
 # Usage:
-#   scripts/pimbench_compare.sh PARENT_DIR CANDIDATE_DIR WORKLOADS [rounds] [seconds]
+#   scripts/pimbench_compare.sh PARENT_DIR CANDIDATE_DIR WORKLOADS [rounds] [seconds] [seed]
 #
 #   PARENT_DIR / CANDIDATE_DIR  repository checkouts (e.g. a `git clone`
 #                               of the parent commit, and this tree)
@@ -17,13 +17,14 @@
 #                               and coexec_sweep (e.g. mem_solo,pim_solo)
 #   rounds                      alternating pairs of runs (default 5)
 #   seconds                     --seconds per run (default 10)
+#   seed                        workload seed (default 0)
 #
 # Exits 1 if any run reports a job that is not correct, else 0; the
 # judgement on the numbers is the caller's.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-  echo "usage: $0 PARENT_DIR CANDIDATE_DIR WORKLOADS [rounds] [seconds]" >&2
+  echo "usage: $0 PARENT_DIR CANDIDATE_DIR WORKLOADS [rounds] [seconds] [seed]" >&2
   exit 2
 fi
 A_DIR=$1
@@ -31,6 +32,7 @@ B_DIR=$2
 IFS=',' read -r -a WORKLOAD_LIST <<<"$3"
 ROUNDS=${4:-5}
 SECONDS_PER_RUN=${5:-10}
+SEED=${6:-0}
 METRICS=(sim_cycles_per_s job_ms.p50 job_ms.p90 setup_s peak_rss_mb)
 # Whether a higher value is better, in METRICS order.
 HIGHER_BETTER=(1 0 0 0 0)
@@ -71,7 +73,7 @@ quartiles_of() { # quartiles_of <file with one value per line> -> "q1 median q3"
 }
 
 run_one() { # run_one <dir> <workload> <out-json>
-  bash "$1/pimbench/run.sh" --workload "$2" --seed 0 \
+  bash "$1/pimbench/run.sh" --workload "$2" --seed "$SEED" \
     --seconds "$SECONDS_PER_RUN" --trace 0 | tail -1 >"$3"
 }
 
@@ -94,7 +96,7 @@ compare() { # compare <workload>: the interleaved rounds and their table
   local workload=$1 out="$TMPDIR_CMP/$1" i order side dir json m idx
   local a_q1 a_med a_q3 b_q1 b_med b_q3 wins
   mkdir -p "$out"
-  echo "workload $workload: $ROUNDS interleaved rounds x ${SECONDS_PER_RUN} s, seed 0"
+  echo "workload $workload: $ROUNDS interleaved rounds x ${SECONDS_PER_RUN} s, seed $SEED"
   for i in $(seq 1 "$ROUNDS"); do
     order="a b"
     if [ $((i % 2)) = 0 ]; then order="b a"; fi

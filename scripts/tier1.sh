@@ -21,8 +21,8 @@ cargo build --examples --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
-# Determinism contract of the sharded memory stage (DESIGN.md §4f): the
-# golden fixtures and the serial-vs-parallel matrix must hold at both a
+# Determinism contract of sweep-grain parallelism (DESIGN.md §4f): the
+# golden fixtures and the sweep-equivalence slice must hold at both a
 # serial and a multi-threaded pool width. The golden_pipeline binary is
 # the per-backend golden pass: it checks the HBM matrix against
 # tests/fixtures/golden_pipeline.json (byte-identical across the
@@ -30,11 +30,14 @@ cargo clippy --all-targets --workspace -- -D warnings
 # tests/fixtures/golden_lp5x.json (DESIGN.md §4j). The issue_oracle
 # binary races the event-driven issue stage against always-poll kernels
 # over the same matrix plus restart- and credit-driven wake cases
-# (DESIGN.md §4m).
+# (DESIGN.md §4m). The memory_oracle binary races the event-driven
+# memory stage against every partition stepped every cycle (DESIGN.md
+# §4o); it also runs in the debug pass above, where a late wake trips
+# the catch-up assertion.
 PIMSIM_THREADS=1 cargo test -q --release --test golden_pipeline --test parallel_equivalence \
-  --test issue_oracle
+  --test issue_oracle --test memory_oracle
 PIMSIM_THREADS=4 cargo test -q --release --test golden_pipeline --test parallel_equivalence \
-  --test issue_oracle
+  --test issue_oracle --test memory_oracle
 
 # Backend-registry smoke (DESIGN.md §4j): both registries must round-trip
 # names and agree on the error dialect, every registered backend must be
@@ -59,13 +62,15 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # run at least 5x fewer ticks than the eager 2-ticks-per-stepped-cycle
 # baseline (DESIGN.md §4i), or if retire-time completion batching
 # disengages: on both standalone PIM scenarios (HBM and lp5x:ranks=4)
-# the memory stage must run at least 3x fewer ticks than stepped cycles
-# and at least one ack must travel in a retire-time batch (DESIGN.md
-# §4k), or if event-driven issue disengages: kernel polls per stepped
-# cycle on standalone_mem and coexec_f3fs must stay under bounds the
-# committed BENCH_hotloop.json values clear by at least 2x (DESIGN.md
-# §4m). Tick and poll counts are deterministic, so those gates are
-# structural — immune to host noise.
+# at least one ack must travel in a retire-time batch (DESIGN.md §4k),
+# or if event-driven issue disengages: kernel polls per stepped cycle on
+# standalone_mem and coexec_f3fs must stay under bounds the committed
+# BENCH_hotloop.json values clear by at least 2x (DESIGN.md §4m), or if
+# the event-driven memory stage disengages: partition visits per
+# stepped cycle on standalone_mem and standalone_pim must stay under
+# bounds below the eager 32 (DESIGN.md §4o). Tick, poll and visit counts
+# are deterministic, so those gates are structural — immune to host
+# noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 

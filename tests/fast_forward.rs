@@ -241,14 +241,14 @@ fn event_delivery_matches_eager_oracle() {
 /// Oracle property for retire-time completion batching (DESIGN.md §4k):
 /// with batching on (the default) controllers emit each burst plan's
 /// acks as one retire-time batch, partitions re-sort them into
-/// time-ordered delivery schedules, and the memory stage defers whole
-/// production cycles behind partition bulk horizons; with batching off
-/// every completion goes through the per-tick heap and the stage steps
-/// every cycle (the eager oracle). Every observable — total cycles,
-/// injections, merged controller stats — must be bit-identical across
-/// the two modes, on both DRAM backends, in both fast-forward modes.
-/// The matrix runs VC1 (shared lanes maximize PIM/MEM interleaving in
-/// the staging ports, the pipeline-tolerant deferral's hard case).
+/// time-ordered delivery schedules, and a partition can sleep through a
+/// whole plan window (DESIGN.md §4o); with batching off every completion
+/// goes through the per-tick heap and plan ticks are stepped one by one
+/// (the eager oracle). Every observable — total cycles, injections,
+/// merged controller stats — must be bit-identical across the two
+/// modes, on both DRAM backends, in both fast-forward modes. The matrix
+/// runs VC1 (shared lanes maximize PIM/MEM interleaving in the staging
+/// ports).
 #[test]
 fn ack_batching_matches_per_tick_oracle() {
     let lp5x = {
@@ -282,9 +282,9 @@ fn ack_batching_matches_per_tick_oracle() {
             assert_mc_identical(&got.mc, &eager.mc, &ctx);
         }
 
-        // Co-execution: MEM traffic voids deferral on its partitions and
-        // ejects trigger mid-window catch-up on the PIM side — the
-        // batched path's replay machinery under maximum churn.
+        // Co-execution: MEM traffic keeps its partitions awake and
+        // ejects wake sleeping PIM partitions mid-window — the catch-up
+        // path under maximum churn.
         let co = |ff: bool, batching: bool| {
             let mut r = Runner::new(cfg.clone(), PolicyKind::f3fs_competitive());
             r.max_gpu_cycles = BUDGET;
