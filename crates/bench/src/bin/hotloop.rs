@@ -202,6 +202,22 @@ const MAX_POLLS_PER_CYCLE: [(&str, f64); 2] = [("standalone_mem", 1.0), ("coexec
 /// the eager count.
 const MAX_VISITS_PER_CYCLE: [(&str, f64); 2] = [("standalone_mem", 1.0), ("standalone_pim", 28.0)];
 
+/// Scan gate of the MEM candidate cache (DESIGN.md §4p): the most
+/// MEM-queue entries the MEM scheduling step may read per full controller
+/// step. Rescanning every pending bank every step reads 0.74 per full
+/// step on standalone MEM and 5.82 on co-execution; the cache commits
+/// 0.51 and 2.33. The bounds leave 27 % and 72 % headroom above the
+/// committed values and sit below the full rescan, so a cache that stops
+/// sparing clean banks trips them.
+const MAX_ENTRIES_PER_FULL_STEP: [(&str, f64); 2] =
+    [("standalone_mem", 0.65), ("coexec_f3fs", 4.0)];
+
+/// Fast-forward engagement gate: the fewest GPU cycles fast-forward must
+/// skip on each gated scenario. Skip counts are deterministic; the bound
+/// is the committed count (standalone MEM: 6,747) minus ≈10 % slack for
+/// legitimate drift in the workload's idle spans.
+const MIN_FF_SKIPPED: [(&str, u64); 1] = [("standalone_mem", 6_000)];
+
 /// `reps` timed passes: returns the (identical) simulated cycle count and
 /// every raw rate in simulated cycles per wall second.
 fn measure(f: fn(bool) -> u64, ff: bool, reps: usize) -> (u64, Vec<f64>) {
@@ -340,19 +356,41 @@ fn main() {
                 prof.stepped_cycles
             );
         }
-        // Fast-forward regression gate. When the scenario gives the skip
-        // path real work (>5% of GPU cycles jumped over), on must beat
-        // off. When it does not — PIM-heavy scenarios keep the inflight
-        // table populated, so the skip gate rejects in O(1) every cycle —
-        // on and off do identical work and we only require parity within
-        // this host's run-to-run noise (KNOWN_FAILURES.md documents the
-        // ±40% single-CPU variance; 0.85 is well inside it).
-        let engaged = ff_skipped.saturating_mul(20) > total_cycles;
-        let floor_x = if engaged { 1.0 } else { 0.85 };
-        // HOTLOOP_FF_GATE=0 turns the on-vs-off assertion into a report.
-        // scripts/bench_compare.sh sets it: interleaved A/B runs load the
-        // host back-to-back, and a scheduler hiccup inside one rep would
-        // otherwise abort the whole measurement. Tier-1 leaves it on.
+        // Deterministic like the two gates above: fewer entries read per
+        // full step than the bound means the MEM step rescans only banks
+        // whose candidate went stale.
+        let entries_per_step = mix.mem_entries_examined as f64 / mix.full_steps.max(1) as f64;
+        if let Some(&(_, bound)) = MAX_ENTRIES_PER_FULL_STEP.iter().find(|(n, _)| *n == name) {
+            assert!(
+                entries_per_step <= bound,
+                "{name}: MEM step read {} queue entries over {} full steps \
+                 ({entries_per_step:.2}/step > {bound}); cached candidates should \
+                 spare banks whose queue and row did not change",
+                mix.mem_entries_examined,
+                mix.full_steps
+            );
+        }
+        // Fast-forward gates. Engagement is checked on the deterministic
+        // skip count: the on and off runs above simulated identical cycle
+        // counts, and where fast-forward has idle spans to jump it must
+        // still jump at least the gated count. Wall clock only has to
+        // stay at parity within this host's run-to-run noise
+        // (KNOWN_FAILURES.md documents the variance; 0.85 is well inside
+        // it): the skipped cycles are cheap to step, so on/off differ by
+        // about 1 %, and a strict "on beats off" bound was a coin flip.
+        if let Some(&(_, min)) = MIN_FF_SKIPPED.iter().find(|(n, _)| *n == name) {
+            assert!(
+                ff_skipped >= min,
+                "{name}: fast-forward skipped {ff_skipped} of {total_cycles} cycles \
+                 (< {min}); its skip gate stopped opening on idle spans"
+            );
+        }
+        let floor_x = 0.85;
+        // HOTLOOP_FF_GATE=0 turns the on-vs-off parity assertion into a
+        // report. scripts/bench_compare.sh sets it: interleaved A/B runs
+        // load the host back-to-back, and a scheduler hiccup inside one
+        // rep would otherwise abort the whole measurement. Tier-1 leaves
+        // it on.
         if env_u64("HOTLOOP_FF_GATE", 1) != 0 {
             assert!(
                 speedup >= floor_x,
@@ -445,6 +483,10 @@ fn main() {
             "  {:16} memory: {} partition visits ({visits_per_cycle:.2} per stepped cycle) / {} catch-ups over {} DRAM ticks",
             "", mix.partition_visits, mix.replay_batches, mix.replayed_visits
         );
+        println!(
+            "  {:16} MEM step: {} queue entries read ({entries_per_step:.2} per full step)",
+            "", mix.mem_entries_examined
+        );
         entries.push(format!(
             concat!(
                 "    {{\n",
@@ -472,6 +514,7 @@ fn main() {
                 "        \"replay_batches\": {},\n",
                 "        \"replayed_visits\": {},\n",
                 "        \"partition_visits\": {},\n",
+                "        \"mem_entries_examined\": {},\n",
                 "        \"ticks_issue\": {},\n",
                 "        \"ticks_request_net\": {},\n",
                 "        \"ticks_memory\": {},\n",
@@ -482,6 +525,7 @@ fn main() {
                 "      \"issue_polls\": {},\n",
                 "      \"issue_polls_per_stepped_cycle\": {:.3},\n",
                 "      \"partition_visits_per_stepped_cycle\": {:.3},\n",
+                "      \"mem_entries_examined_per_full_step\": {:.3},\n",
                 "      \"fast_forward\": {{\n",
                 "        \"skips\": {},\n",
                 "        \"skipped_gpu_cycles\": {}\n",
@@ -515,6 +559,7 @@ fn main() {
             mix.replay_batches,
             mix.replayed_visits,
             mix.partition_visits,
+            mix.mem_entries_examined,
             mix.ticks_issue,
             mix.ticks_request_net,
             mix.ticks_memory,
@@ -524,6 +569,7 @@ fn main() {
             issue_polls,
             polls_per_cycle,
             visits_per_cycle,
+            entries_per_step,
             ff_skips,
             ff_skipped,
             prof.stepped_cycles,

@@ -227,6 +227,11 @@ pub struct StepMix {
     /// GPU cycle in which it had work due. The eager loop would make one
     /// per partition per stepped cycle.
     pub partition_visits: u64,
+    /// MEM-queue entries read by the MEM scheduling step's candidate
+    /// rescans (DESIGN.md §4p). Only banks whose cached candidate went
+    /// stale are rescanned, so this grows with what changed between
+    /// steps, not with queue length.
+    pub mem_entries_examined: u64,
 }
 
 impl StepMix {
@@ -258,6 +263,29 @@ impl pimsim_stats::Mergeable for StepMix {
         self.replay_batches += o.replay_batches;
         self.replayed_visits += o.replayed_visits;
         self.partition_visits += o.partition_visits;
+        self.mem_entries_examined += o.mem_entries_examined;
+    }
+}
+
+/// One bank's best MEM candidate: the policy-best `(class, age)` among
+/// the bank's queued requests, and what its next command needs.
+#[derive(Debug, Clone, Copy)]
+struct MemCandidate {
+    class: u32,
+    age: u64,
+    row: u32,
+    write: bool,
+    /// Whether the request hits the bank's open row.
+    hit: bool,
+}
+
+/// Mask with the low `n` bits set (`n <= 64`).
+fn low_bits(n: usize) -> u64 {
+    debug_assert!(n <= 64, "bank masks cover 64 banks");
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 
@@ -285,12 +313,19 @@ pub struct MemoryController {
     /// Rows open at the last MEM→PIM switch; used to attribute reopened
     /// rows to the switch (Figure 10b).
     rows_at_switch: Vec<Option<u32>>,
-    /// Scratch: open row per bank, rebuilt each cycle for the policy view.
+    /// Open row per bank, the policy view's copy of the channel's row
+    /// state. Rebuilt when `channel.row_epoch()` moves outside the
+    /// controller's own MEM commands, which update their bank in place.
     open_rows: Vec<Option<u32>>,
-    /// Scratch for [`MemoryController::issue_mem`]: best candidate per
-    /// bank, reused across cycles so the hot loop allocates nothing.
-    /// Only the entries of the step's candidate banks are meaningful.
-    scratch_best: Vec<Option<(u32, u64, usize, bool)>>,
+    /// Per-bank MEM candidate cache (DESIGN.md §4p): entry `b` is bank
+    /// `b`'s best queued request, exact whenever `b` is pending and its
+    /// bit in `cand_dirty` is clear.
+    mem_cand: Vec<Option<MemCandidate>>,
+    /// Banks whose cached candidate may be stale: set on a MEM enqueue to
+    /// the bank, on any command issued to it, and wholesale when the
+    /// channel's rows move under a refresh or a PIM command (or every
+    /// step, for a policy whose `mem_class` reads its own state).
+    cand_dirty: u64,
     page_policy: PagePolicy,
     /// Stall memo: cycles strictly before this are replayed by
     /// [`MemoryController::replay_cycle`] in O(1) — the arming full step
@@ -341,8 +376,9 @@ pub struct MemoryController {
     /// hand-off) runs at each op's analytic issue cycle, so a stats
     /// snapshot taken mid-plan is bit-identical to per-cycle stepping.
     plan_ops: VecDeque<(QueuedRequest, Cycle, bool)>,
-    /// `channel.row_epoch()` at the last `open_rows` rebuild; the scratch
-    /// view is only rebuilt when the channel's row state actually moved.
+    /// `channel.row_epoch()` the `open_rows` view (and with it the MEM
+    /// candidate cache) is in sync with; a mismatch means the rows moved
+    /// outside the controller's own MEM commands.
     open_rows_epoch: u64,
     /// Retire-time ack batching (DESIGN.md §4k): with it on, PIM
     /// completions bypass the per-tick `completions` heap and are
@@ -371,8 +407,17 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller for one channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.dram.banks` exceeds 64 (bank masks are one `u64`;
+    /// [`SystemConfig::validate`] rejects such configurations).
     pub fn new(cfg: &SystemConfig, policy: Box<dyn SchedulePolicy>) -> Self {
         let banks = cfg.dram.banks;
+        assert!(
+            banks <= 64,
+            "bank masks cover at most 64 banks, got {banks}"
+        );
         let rf_per_bank = cfg.dram.pim_rf_entries * cfg.dram.pim_fus_per_channel / cfg.dram.banks;
         MemoryController {
             queues: McQueues::new(cfg.mc.mem_q_entries, cfg.mc.pim_q_entries),
@@ -387,7 +432,8 @@ impl MemoryController {
             completions: BinaryHeap::new(),
             rows_at_switch: vec![None; banks],
             open_rows: vec![None; banks],
-            scratch_best: vec![None; banks],
+            mem_cand: vec![None; banks],
+            cand_dirty: u64::MAX,
             page_policy: cfg.mc.page_policy,
             stall_until: 0,
             stall_qmask: 0,
@@ -523,6 +569,9 @@ impl MemoryController {
             self.mix.memo_invalidations += 1;
         }
         self.stall_until = 0;
+        if !req.kind.is_pim() {
+            self.cand_dirty |= 1 << (decoded.bank % 64);
+        }
         self.queues.enqueue(req, decoded, now);
     }
 
@@ -798,7 +847,7 @@ impl MemoryController {
         let n = self.channel.num_banks();
         let mut qmask = self.queues.mem_bank_mask();
         if self.queues.pim_len() > 0 {
-            qmask |= (1u64 << n) - 1;
+            qmask |= low_bits(n);
         }
         self.stall_qmask = qmask;
         self.stall_busy.clear();
@@ -1014,10 +1063,9 @@ impl MemoryController {
         // over cycles where the DRAM is servicing anything — the standard
         // BLP definition the paper uses in Figure 4c. A pending PIM
         // request targets every bank (lock-step execution).
-        let n = self.channel.num_banks();
         let mut mask = self.queues.mem_bank_mask();
         if self.queues.pim_len() > 0 {
-            mask |= (1u64 << n) - 1;
+            mask |= low_bits(self.channel.num_banks());
         }
         mask |= self.channel.busy_bank_mask(now);
         let busy_banks = u64::from(mask.count_ones());
@@ -1033,6 +1081,10 @@ impl MemoryController {
             return;
         }
         self.open_rows_epoch = epoch;
+        // Rows moved outside the controller's own MEM commands (those
+        // resync their bank in place): a refresh or a PIM command may
+        // have changed any bank, so every cached candidate is suspect.
+        self.cand_dirty = u64::MAX;
         for b in 0..self.channel.num_banks() {
             self.open_rows[b] = self.channel.open_row(b);
         }
@@ -1062,8 +1114,8 @@ impl MemoryController {
         self.policy.on_switch_complete(sw.target, now);
     }
 
-    /// MEM-mode issue: walk banks, compute the best (class, age) candidate
-    /// action per bank, then issue the globally best action that is legal.
+    /// MEM-mode issue: take the best (class, age) candidate action per
+    /// bank, then issue the globally best action that is legal.
     ///
     /// Returns `None` when a command issued, else `Some(c)` where `c` is
     /// the earliest cycle any current candidate's chosen command becomes
@@ -1072,22 +1124,21 @@ impl MemoryController {
     /// candidate set and issues exactly what per-cycle stepping would
     /// have.
     ///
-    /// The cost follows the traffic, not the geometry (DESIGN.md §4n):
-    /// the policy's bank mask is asked once per pending bank, a bank's
-    /// scan ends at its first class-0 request (the queue is in age order,
-    /// so nothing later can beat it), and banks are picked in (class,
-    /// age) order by selection over the pending set instead of a sort.
+    /// The cost follows what changed, not the queue (DESIGN.md §4n, §4p):
+    /// each bank's best candidate is cached across steps and only the
+    /// dirty ones are rescanned, the policy's bank mask is asked once per
+    /// pending bank, and banks are picked in (class, age) order by
+    /// selection over the pending set instead of a sort. The queue index
+    /// is looked up only for the command that issues.
     fn issue_mem(&mut self, now: Cycle) -> Option<Cycle> {
         if self.queues.mem_len() == 0 {
             return Some(Cycle::MAX);
         }
+        // A foreign row change marks every candidate dirty here.
         self.refresh_open_rows();
-        debug_assert!(self.channel.num_banks() <= 64, "bank masks cover 64 banks");
-        // Best candidate per bank: (class, age, queue index, is_hit).
-        // Borrowed out of self so the issue loop below can mutate the
-        // channel and queues; restored at the end (no per-cycle allocation).
-        let mut best = std::mem::take(&mut self.scratch_best);
-        best.resize(self.channel.num_banks(), None);
+        if self.policy.mem_class_reads_state() {
+            self.cand_dirty = u64::MAX;
+        }
         // Pending banks the policy's switch logic has not stalled
         // (FR-FCFS conflict bit); a stalled bank issues nothing.
         let mut candidates = 0u64;
@@ -1097,37 +1148,12 @@ impl MemoryController {
             bits &= bits - 1;
             if !self.policy.bank_masked(bank) {
                 candidates |= 1 << bank;
-                best[bank] = None;
             }
         }
-        {
-            let view = PolicyView {
-                now,
-                mode: self.mode,
-                mem: self.queues.mem(),
-                pim: self.queues.pim(),
-                open_rows: &self.open_rows,
-            };
-            // Candidate banks whose best request could still improve.
-            let mut open = candidates;
-            for (idx, q) in view.mem.iter().enumerate() {
-                let bank = q.decoded.bank as usize;
-                if open & (1 << bank) == 0 {
-                    continue;
-                }
-                let hit = self.open_rows[bank] == Some(q.decoded.row);
-                let class = self.policy.mem_class(q, hit, &view);
-                if best[bank].is_none_or(|b| (class, q.age) < (b.0, b.1)) {
-                    best[bank] = Some((class, q.age, idx, hit));
-                }
-                if class == 0 {
-                    // Every later request is younger: this one is final.
-                    open &= !(1 << bank);
-                    if open == 0 {
-                        break;
-                    }
-                }
-            }
+        let stale = candidates & self.cand_dirty;
+        if stale != 0 {
+            self.rescan_candidates(stale, now);
+            self.cand_dirty &= !stale;
         }
         // Try banks in (class, age) order — ties cannot occur, ages are
         // unique — and issue the first legal command.
@@ -1138,31 +1164,26 @@ impl MemoryController {
             while bits != 0 {
                 let bank = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (class, age, _, _) = best[bank].expect("candidate banks are scanned");
-                if pick.is_none_or(|p| (class, age) < (p.0, p.1)) {
-                    pick = Some((class, age, bank));
+                let c = self.mem_cand[bank].expect("candidate banks are scanned");
+                if pick.is_none_or(|p| (c.class, c.age) < (p.0, p.1)) {
+                    pick = Some((c.class, c.age, bank));
                 }
             }
             let (_, _, bank) = pick.expect("nonempty candidate set");
             candidates &= !(1 << bank);
-            let (_, _, idx, hit) = best[bank].expect("candidate banks are scanned");
-            let q = self.queues.mem()[idx];
-            let cmd = if hit {
+            let c = self.mem_cand[bank].expect("candidate banks are scanned");
+            let cmd = if c.hit {
                 let closed = self.page_policy == PagePolicy::Closed;
-                match (q.req.kind, closed) {
-                    (RequestKind::MemRead, false) => DramCommand::Read { bank },
-                    (RequestKind::MemRead, true) => DramCommand::ReadAuto { bank },
-                    (RequestKind::MemWrite, false) => DramCommand::Write { bank },
-                    (RequestKind::MemWrite, true) => DramCommand::WriteAuto { bank },
-                    (RequestKind::Pim(_), _) => unreachable!("PIM in MEM queue"),
+                match (c.write, closed) {
+                    (false, false) => DramCommand::Read { bank },
+                    (false, true) => DramCommand::ReadAuto { bank },
+                    (true, false) => DramCommand::Write { bank },
+                    (true, true) => DramCommand::WriteAuto { bank },
                 }
             } else if self.open_rows[bank].is_some() {
                 DramCommand::Pre { bank }
             } else {
-                DramCommand::Act {
-                    bank,
-                    row: q.decoded.row,
-                }
+                DramCommand::Act { bank, row: c.row }
             };
             // One legality probe: the command is legal now exactly when
             // its earliest legal cycle is now.
@@ -1174,18 +1195,22 @@ impl MemoryController {
                 }
                 None => continue,
             }
-            self.scratch_best = best;
+            let done = self.channel.issue(cmd, now);
+            // The command touched only `bank`: resync its row in the
+            // policy view (keeping the epoch current, so the cache stays
+            // valid elsewhere) and rescan it next step.
+            self.open_rows[bank] = self.channel.open_row(bank);
+            self.open_rows_epoch = self.channel.row_epoch();
+            self.cand_dirty |= 1 << bank;
             match cmd {
                 DramCommand::Act { row, .. } => {
-                    self.channel.issue(cmd, now);
+                    let idx = self.mem_index(c.age);
                     self.note_mem_act(idx, bank, row);
                 }
-                DramCommand::Pre { .. } => {
-                    self.channel.issue(cmd, now);
-                }
+                DramCommand::Pre { .. } => {}
                 _ => {
-                    let done = self.channel.issue(cmd, now).expect("column command");
-                    let q = self.queues.remove_mem(idx);
+                    let done = done.expect("column command");
+                    let q = self.queues.remove_mem(self.mem_index(c.age));
                     self.note_mem_issued(&q, now);
                     self.stats
                         .mem_latency
@@ -1198,8 +1223,75 @@ impl MemoryController {
             }
             return None;
         }
-        self.scratch_best = best;
         Some(earliest)
+    }
+
+    /// Recomputes the cached candidate of every bank in `banks` with one
+    /// walk over the MEM queue. The queue is in age order, so a bank is
+    /// done at its first class-0 request (nothing later can beat it) or
+    /// its last request, and the walk ends once every bank is done.
+    fn rescan_candidates(&mut self, banks: u64, now: Cycle) {
+        let view = PolicyView {
+            now,
+            mode: self.mode,
+            mem: self.queues.mem(),
+            pim: self.queues.pim(),
+            open_rows: &self.open_rows,
+        };
+        // Requests not yet read, per rescanned bank.
+        let mut left = [0u16; 64];
+        let mut bits = banks;
+        while bits != 0 {
+            let bank = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.mem_cand[bank] = None;
+            left[bank] = self.queues.mem_bank_count(bank) as u16;
+        }
+        // Rescanned banks whose best request could still improve.
+        let mut open = banks;
+        let mut examined = 0;
+        for q in view.mem {
+            examined += 1;
+            let bank = q.decoded.bank as usize;
+            if open & (1 << bank) == 0 {
+                continue;
+            }
+            let hit = self.open_rows[bank] == Some(q.decoded.row);
+            let class = self.policy.mem_class(q, hit, &view);
+            let best = &mut self.mem_cand[bank];
+            // Ages only grow along the walk, so (class, age) order is
+            // class order here.
+            if best.is_none_or(|b| class < b.class) {
+                *best = Some(MemCandidate {
+                    class,
+                    age: q.age,
+                    row: q.decoded.row,
+                    write: match q.req.kind {
+                        RequestKind::MemRead => false,
+                        RequestKind::MemWrite => true,
+                        RequestKind::Pim(_) => unreachable!("PIM in MEM queue"),
+                    },
+                    hit,
+                });
+            }
+            left[bank] -= 1;
+            if class == 0 || left[bank] == 0 {
+                open &= !(1 << bank);
+                if open == 0 {
+                    break;
+                }
+            }
+        }
+        self.mix.mem_entries_examined += examined;
+    }
+
+    /// Index of the queued MEM request with `age` (the queue is in age
+    /// order).
+    fn mem_index(&self, age: u64) -> usize {
+        self.queues
+            .mem()
+            .binary_search_by_key(&age, |q| q.age)
+            .expect("cached candidate is queued")
     }
 
     fn note_mem_act(&mut self, idx: usize, bank: usize, row: u32) {
@@ -1517,19 +1609,26 @@ mod tests {
 
     /// For every registered policy, a random MEM/PIM stream drives the
     /// controller through varied queue contents, open rows, bank timing,
-    /// policy masks and page policies; on random MEM-mode cycles the MEM
-    /// scheduling step must issue exactly the brute-force choice (same
-    /// channel state afterwards, same request removed) or report exactly
-    /// its stall cycle.
+    /// policy masks, page policies and refreshes; on random MEM-mode
+    /// cycles the MEM scheduling step must issue exactly the brute-force
+    /// choice (same channel state afterwards, same request removed) or
+    /// report exactly its stall cycle. PIM traffic, where present, comes
+    /// in bursts separated by long MEM-only phases, so cached candidates
+    /// (DESIGN.md §4p) live across many steps and then meet the row
+    /// changes of a refresh or a mode switch.
     #[test]
     fn mem_step_matches_brute_force_argmin() {
         let mut checked = [0u64; 2]; // [issued, stalled]
         for (pi, desc) in registry::descriptors().iter().enumerate() {
-            for seed in 0..6u64 {
+            for seed in 0..8u64 {
                 let mut rng = SplitMix64::new(0x3E3 ^ ((pi as u64) << 8) ^ seed);
                 let mut cfg = SystemConfig::default();
                 if seed % 3 == 2 {
                     cfg.mc.page_policy = PagePolicy::Closed;
+                }
+                if seed % 4 >= 2 {
+                    cfg.timing.t_refi = 350;
+                    cfg.timing.t_rfc = 40;
                 }
                 let n_banks = cfg.dram.banks as u64;
                 let mut mc = MemoryController::new(&cfg, desc.default_kind().build());
@@ -1539,8 +1638,14 @@ mod tests {
                 let (mut next_id, mut block, mut block_left, mut pim_row) = (0u64, 0u64, 0, 0);
                 let mut done = Vec::new();
                 let mem_rate = rng.next_f64() * 0.6;
-                let pim_rate = if seed % 2 == 0 { 0.0 } else { 0.3 };
-                for now in 0..1500 {
+                for now in 0..3000 {
+                    // PIM arrives only in the first 150 cycles of every
+                    // 1000: the rest is a MEM-only phase.
+                    let pim_rate = if seed % 2 == 1 && now % 1000 < 150 {
+                        0.4
+                    } else {
+                        0.0
+                    };
                     if rng.chance(mem_rate) && mc.can_accept(false) {
                         let kind = if rng.chance(0.3) {
                             RequestKind::MemWrite

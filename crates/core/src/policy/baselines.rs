@@ -285,6 +285,10 @@ impl SchedulePolicy for FrFcfsCap {
         !self.cap_reached() && self.conflicts.masked(bank)
     }
 
+    fn mem_class_reads_state(&self) -> bool {
+        true // the cap counter flips the class order
+    }
+
     fn mem_class(&self, _q: &QueuedRequest, is_row_hit: bool, _view: &PolicyView<'_>) -> u32 {
         if self.cap_reached() {
             0 // age order until the oldest is served
@@ -442,6 +446,10 @@ impl SchedulePolicy for Bliss {
                 }
             }
         }
+    }
+
+    fn mem_class_reads_state(&self) -> bool {
+        true // the blacklist demotes apps
     }
 
     fn mem_class(&self, q: &QueuedRequest, is_row_hit: bool, _view: &PolicyView<'_>) -> u32 {

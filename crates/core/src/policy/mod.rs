@@ -134,6 +134,16 @@ pub trait SchedulePolicy: std::fmt::Debug + Send {
         u32::from(!is_row_hit)
     }
 
+    /// Whether [`SchedulePolicy::mem_class`] reads anything beyond its
+    /// `is_row_hit` argument and the request itself (policy state such as
+    /// a cap counter or a blacklist, or the view). `false` lets the
+    /// controller cache each bank's best MEM candidate across steps and
+    /// rescan a bank only when its queue or open row changes (DESIGN.md
+    /// §4p); `true` makes it rescan every pending bank every step.
+    fn mem_class_reads_state(&self) -> bool {
+        false
+    }
+
     /// Whether `bank` is stalled by the policy. FR-FCFS's mode-switch
     /// logic stalls a bank once it records a row-buffer conflict while the
     /// oldest request belongs to the other mode (Section III-D); the

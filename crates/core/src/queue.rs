@@ -145,6 +145,11 @@ impl McQueues {
         self.mem_bank_mask
     }
 
+    /// Queued MEM requests in `bank` (taken `% 64`, like the mask).
+    pub fn mem_bank_count(&self, bank: usize) -> usize {
+        usize::from(self.mem_bank_counts[bank % 64])
+    }
+
     /// Removes and returns the PIM queue head.
     pub fn pop_pim(&mut self) -> Option<QueuedRequest> {
         self.pim.pop_front()

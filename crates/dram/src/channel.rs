@@ -93,11 +93,13 @@ impl Bank {
     }
 }
 
-/// Cross-bank aggregates, recomputed after every state-mutating command
-/// (command issue, refresh). Commands are the only events that change bank
-/// state, so refreshing the cache once per command keeps every all-bank
-/// legality check — and [`Channel::earliest_issue`] — O(1) instead of a
-/// 16-bank walk per DRAM tick.
+/// Cross-bank aggregates, read only by the all-bank checks (`PimActAll`,
+/// `PreAll`, `PimOp` legality, [`Channel::all_banks_open_to`],
+/// [`Channel::any_bank_open`]). All-bank commands and refresh rebuild it
+/// eagerly, so the PIM path reads it in O(1). Single-bank commands
+/// (ACT/PRE/RD/WR and the auto-precharge forms) only mark it stale: MEM
+/// mode never reads it, and a read of a stale aggregate walks the banks
+/// out of line (DESIGN.md §4p).
 #[derive(Debug, Clone, Copy, Default)]
 struct BankAgg {
     /// Number of banks with an open row.
@@ -110,6 +112,19 @@ struct BankAgg {
     next_col: Cycle,
     /// `max(next_pre)` over open banks (0 when none are open).
     next_pre_open: Cycle,
+}
+
+/// A bank's own timing releases: the first cycles at which it accepts an
+/// activate, a precharge and a column command, before the channel-wide
+/// constraints (command bus, tRRD, tFAW, CCD, data bus, refresh).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankReleases {
+    /// Earliest activate (tRP after a precharge, tRFC after a refresh).
+    pub act: Cycle,
+    /// Earliest precharge (tRAS, read-to-precharge, write recovery).
+    pub pre: Cycle,
+    /// Earliest column command (tRCD, tCCDl).
+    pub col: Cycle,
 }
 
 /// Aggregate command counters for one channel.
@@ -169,8 +184,13 @@ pub struct Channel {
     /// keeps this exact — and the quiescence check O(1) instead of a bank
     /// scan.
     max_busy_until: Option<Cycle>,
-    /// Cross-bank aggregate cache (see [`BankAgg`]).
+    /// Cross-bank aggregate cache (see [`BankAgg`]); exact unless
+    /// `agg_stale`.
     agg: BankAgg,
+    /// Set by single-bank commands: `agg` may be out of date, and readers
+    /// walk the banks instead until the next all-bank command or refresh
+    /// rebuilds it.
+    agg_stale: bool,
     /// Bumped whenever any bank's row state changes (activate, precharge,
     /// refresh). Lets callers cache derived row views (the controller's
     /// `open_rows` scratch) and rebuild them only when this moves.
@@ -198,6 +218,7 @@ impl Channel {
             last_write_end: 0,
             max_busy_until: None,
             agg: BankAgg::default(),
+            agg_stale: false,
             row_epoch: 0,
             next_refresh: if timing.t_refi > 0 {
                 timing.t_refi
@@ -211,10 +232,16 @@ impl Channel {
         ch
     }
 
-    /// Rebuilds the cross-bank aggregate cache. Called once per
-    /// state-mutating event (command issue, refresh execution) — never per
-    /// tick — so steady-state legality checks stay O(1).
+    /// Rebuilds the cross-bank aggregate cache. Called by the all-bank
+    /// commands and refresh execution — never per tick, and not by
+    /// single-bank commands (those mark it stale).
     fn recompute_agg(&mut self) {
+        self.agg = self.scan_agg();
+        self.agg_stale = false;
+    }
+
+    /// The cross-bank aggregate from a walk over the banks.
+    fn scan_agg(&self) -> BankAgg {
         let mut agg = BankAgg::default();
         let mut uniform = true;
         let first_row = self.banks.first().and_then(|b| b.row);
@@ -232,7 +259,27 @@ impl Channel {
         } else {
             None
         };
-        self.agg = agg;
+        agg
+    }
+
+    /// The current cross-bank aggregate: the cache, or — after a
+    /// single-bank command — a walk over the banks. Only the first PIM
+    /// step after MEM traffic pays the walk; the all-bank command it
+    /// issues rebuilds the cache.
+    #[inline]
+    fn agg(&self) -> BankAgg {
+        if self.agg_stale {
+            return self.stale_agg();
+        }
+        self.agg
+    }
+
+    /// The stale-read walk, out of line and cold so a fresh read stays
+    /// one predictable branch on the PIM path.
+    #[cold]
+    #[inline(never)]
+    fn stale_agg(&self) -> BankAgg {
+        self.scan_agg()
     }
 
     /// Advances refresh housekeeping; call once per DRAM cycle before
@@ -312,6 +359,16 @@ impl Channel {
         self.banks[bank].row
     }
 
+    /// `bank`'s own timing releases (see [`BankReleases`]).
+    pub fn bank_releases(&self, bank: usize) -> BankReleases {
+        let b = &self.banks[bank];
+        BankReleases {
+            act: b.next_act,
+            pre: b.next_pre,
+            col: b.next_col,
+        }
+    }
+
     /// `true` once all column data movement has completed (used by the
     /// memory controller to detect the end of a mode-switch drain).
     pub fn quiescent(&self, now: Cycle) -> bool {
@@ -359,14 +416,15 @@ impl Channel {
     }
 
     /// Whether every bank is open to `row` (the PIM lock-step execution
-    /// precondition). O(1) from the aggregate cache.
+    /// precondition). O(1) from the aggregate cache while it is fresh.
     pub fn all_banks_open_to(&self, row: u32) -> bool {
-        self.agg.uniform_row == Some(row)
+        self.agg().uniform_row == Some(row)
     }
 
-    /// Whether any bank has an open row. O(1) from the aggregate cache.
+    /// Whether any bank has an open row. O(1) from the aggregate cache
+    /// while it is fresh.
     pub fn any_bank_open(&self) -> bool {
-        self.agg.open > 0
+        self.agg().open > 0
     }
 
     /// Snapshot of the command counters.
@@ -435,13 +493,18 @@ impl Channel {
             // All-bank activate is a single dedicated PIM-mode command and
             // is exempt from tFAW (which governs per-bank ACT streams).
             DramCommand::PimActAll { .. } => {
-                !self.refresh_pending && self.agg.open == 0 && now >= self.agg.next_act
+                let agg = self.agg();
+                !self.refresh_pending && agg.open == 0 && now >= agg.next_act
             }
-            DramCommand::PreAll => self.agg.open > 0 && now >= self.agg.next_pre_open,
+            DramCommand::PreAll => {
+                let agg = self.agg();
+                agg.open > 0 && now >= agg.next_pre_open
+            }
             DramCommand::PimOp { .. } => {
+                let agg = self.agg();
                 !self.refresh_pending
-                    && self.agg.open == self.banks.len()
-                    && now >= self.agg.next_col
+                    && agg.open == self.banks.len()
+                    && now >= agg.next_col
                     && self.ccd_ok(now, usize::MAX)
             }
             DramCommand::ReadAuto { bank } => self.can_issue(DramCommand::Read { bank }, now),
@@ -518,22 +581,25 @@ impl Channel {
                     .max(self.data_bus_free.saturating_sub(t.t_wl))
             }
             DramCommand::PimActAll { .. } => {
-                if self.refresh_pending || self.agg.open != 0 {
+                let agg = self.agg();
+                if self.refresh_pending || agg.open != 0 {
                     return None;
                 }
-                self.agg.next_act
+                agg.next_act
             }
             DramCommand::PreAll => {
-                if self.agg.open == 0 {
+                let agg = self.agg();
+                if agg.open == 0 {
                     return None;
                 }
-                self.agg.next_pre_open
+                agg.next_pre_open
             }
             DramCommand::PimOp { .. } => {
-                if self.refresh_pending || self.agg.open != self.banks.len() {
+                let agg = self.agg();
+                if self.refresh_pending || agg.open != self.banks.len() {
                     return None;
                 }
-                self.agg.next_col.max(self.ccd_clear(usize::MAX))
+                agg.next_col.max(self.ccd_clear(usize::MAX))
             }
             DramCommand::ReadAuto { bank } => {
                 return self.earliest_issue(DramCommand::Read { bank }, now)
@@ -573,17 +639,19 @@ impl Channel {
         }
         self.last_cmd_cycle = Some(now);
         let t = self.timing.clone();
-        let completion = match cmd {
+        match cmd {
             DramCommand::Act { bank, row } => {
                 self.act_one(bank, row, now);
                 self.record_act(now);
                 self.next_act_any = now + t.t_rrd;
                 self.stats.acts += 1;
+                self.agg_stale = true;
                 None
             }
             DramCommand::Pre { bank } => {
                 self.pre_one(bank, now);
                 self.stats.pres += 1;
+                self.agg_stale = true;
                 None
             }
             DramCommand::Read { bank } => {
@@ -597,6 +665,7 @@ impl Channel {
                 self.data_bus_free = completion;
                 self.last_col = Some((now, group));
                 self.stats.reads += 1;
+                self.agg_stale = true;
                 Some(completion)
             }
             DramCommand::Write { bank } => {
@@ -611,6 +680,7 @@ impl Channel {
                 self.last_write_end = self.last_write_end.max(completion);
                 self.last_col = Some((now, group));
                 self.stats.writes += 1;
+                self.agg_stale = true;
                 Some(completion)
             }
             DramCommand::PimActAll { row } => {
@@ -619,6 +689,7 @@ impl Channel {
                 }
                 self.stats.acts += self.banks.len() as u64;
                 self.stats.pim_blocks += 1;
+                self.recompute_agg();
                 None
             }
             DramCommand::PreAll => {
@@ -630,6 +701,7 @@ impl Channel {
                     }
                 }
                 self.stats.pres += closed;
+                self.recompute_agg();
                 None
             }
             DramCommand::ReadAuto { .. } | DramCommand::WriteAuto { .. } => {
@@ -655,11 +727,10 @@ impl Channel {
                 self.raise_max_busy(completion);
                 self.last_col = Some((now, usize::MAX));
                 self.stats.pim_ops += 1;
+                self.recompute_agg();
                 Some(completion)
             }
-        };
-        self.recompute_agg();
-        completion
+        }
     }
 
     /// Issue timing of a back-to-back [`DramCommand::PimOp`] run:
@@ -779,7 +850,9 @@ impl Channel {
         b.next_act = b.next_act.max(pre_at + t_rp);
         self.row_epoch += 1;
         self.stats.pres += 1;
-        self.recompute_agg();
+        // The column command this follows already marked the aggregate
+        // stale.
+        debug_assert!(self.agg_stale);
     }
 
     fn pre_one(&mut self, bank: usize, now: Cycle) {

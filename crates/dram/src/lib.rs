@@ -37,7 +37,7 @@ pub mod mapping;
 pub mod pim;
 
 pub use backend::{BackendDescriptor, BackendParseError, DramBackend};
-pub use channel::{Channel, ChannelStats, DramCommand};
+pub use channel::{BankReleases, Channel, ChannelStats, DramCommand};
 pub use energy::{channel_energy, EnergyBreakdown, EnergyConfig};
 pub use mapping::AddressMapper;
 pub use pim::{PimEngine, RfDisciplineError};

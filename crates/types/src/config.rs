@@ -459,6 +459,10 @@ impl SystemConfig {
         if self.dram.banks == 0 || !self.dram.banks.is_power_of_two() {
             return err("dram.banks must be a nonzero power of two");
         }
+        if self.dram.banks > 64 {
+            // The controller's bank masks are one u64.
+            return err("dram.banks must be at most 64");
+        }
         if self.dram.bank_groups == 0 || !self.dram.banks.is_multiple_of(self.dram.bank_groups) {
             return err("dram.banks must be divisible by dram.bank_groups");
         }
@@ -626,6 +630,18 @@ mod tests {
         let mut cfg = SystemConfig::default();
         cfg.dram.channels = 16; // pattern still encodes 5 channel bits
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_more_than_64_banks() {
+        let mut cfg = SystemConfig::default();
+        cfg.dram.banks = 128;
+        cfg.dram.pim_fus_per_channel = 64;
+        cfg.addr_map = AddressMapConfig::BitPattern("RRRRRRRRRRBBBBBBCCCBDDDDDCCC".into());
+        let e = cfg
+            .validate()
+            .expect_err("128 banks overflow the bank masks");
+        assert!(e.to_string().contains("at most 64"), "{e}");
     }
 
     #[test]

@@ -57,7 +57,9 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # writes no JSON so the committed best-of-3 numbers are preserved.
 # The hotloop binary itself also fails the smoke if burst retirement
 # disengages (zero burst hit rate on standalone_pim), if fast-forward
-# regresses (DESIGN.md §4h), or if event-driven completion delivery
+# stops skipping (fewer skipped cycles on standalone_mem than the
+# committed count minus slack; wall clock only has to stay at 0.85x
+# parity, DESIGN.md §4p), or if event-driven completion delivery
 # disengages: on standalone_pim the reply-net + completion stages must
 # run at least 5x fewer ticks than the eager 2-ticks-per-stepped-cycle
 # baseline (DESIGN.md §4i), or if retire-time completion batching
@@ -68,9 +70,12 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # BENCH_hotloop.json values clear by at least 2x (DESIGN.md §4m), or if
 # the event-driven memory stage disengages: partition visits per
 # stepped cycle on standalone_mem and standalone_pim must stay under
-# bounds below the eager 32 (DESIGN.md §4o). Tick, poll and visit counts
-# are deterministic, so those gates are structural — immune to host
-# noise.
+# bounds below the eager 32 (DESIGN.md §4o), or if the MEM candidate
+# cache stops sparing unchanged banks: MEM-queue entries read per full
+# controller step on standalone_mem and coexec_f3fs must stay under
+# bounds below a full rescan (DESIGN.md §4p). Tick, poll, visit, skip and
+# entry counts are deterministic, so those gates are structural — immune
+# to host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 

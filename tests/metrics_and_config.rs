@@ -3,6 +3,7 @@
 
 use pim_coscheduling::core::policy::PolicyKind;
 use pim_coscheduling::gpu::KernelModel;
+use pim_coscheduling::sim::Runner;
 use pim_coscheduling::stats::metrics::{fairness_index, system_throughput, CoexecMetrics};
 use pim_coscheduling::types::{AddressMapConfig, DramTiming, SystemConfig, VcMode};
 use pim_coscheduling::workloads::{
@@ -60,6 +61,35 @@ fn fidelity_timing_extensions_validate() {
     };
     cfg.validate().unwrap();
     assert!(cfg.timing.t_faw > 0 && cfg.timing.t_refi > 0);
+}
+
+/// 64 banks is the widest geometry the controller's one-word bank masks
+/// cover: its all-banks mask must not overflow (debug builds panic on an
+/// overflowing shift), and MEM plus PIM traffic must run to completion.
+#[test]
+fn sixty_four_bank_channels_run_mem_and_pim_traffic() {
+    let mut cfg = SystemConfig::default();
+    cfg.dram.banks = 64;
+    cfg.dram.bank_groups = 4;
+    // Keep 8 RF entries per bank, as in Table I (16 entries x 8 FUs / 16).
+    cfg.dram.pim_fus_per_channel = 32;
+    // Table I's pattern with two row bits turned into bank bits: 6 bank
+    // bits for 64 banks, each a quarter as deep.
+    cfg.dram.rows_per_bank = 1 << 11;
+    cfg.addr_map = AddressMapConfig::BitPattern("RRRRRRRRRRRBBBBBCCCBDDDDDCCC".into());
+    cfg.validate().expect("64 banks validate");
+    let out = Runner::new(cfg, PolicyKind::f3fs_competitive()).coexec(
+        Box::new(gpu_kernel(GpuBenchmark(8), 8, 0.05)),
+        Box::new(pim_kernel(PimBenchmark(2), 32, 4, 64, 0.02)),
+        true,
+    );
+    assert!(!out.gpu_starved && !out.pim_starved, "both kernels finish");
+    assert!(
+        out.mem_arrivals > 0 && out.pim_arrivals > 0,
+        "MEM and PIM traffic both reach the controllers: {} / {}",
+        out.mem_arrivals,
+        out.pim_arrivals
+    );
 }
 
 #[test]

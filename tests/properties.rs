@@ -368,6 +368,127 @@ fn earliest_issue_matches_brute_force_scan() {
     }
 }
 
+/// The channel's cross-bank aggregate is exact whether it is fresh or
+/// stale (DESIGN.md §4p): single-bank commands (including the
+/// auto-precharge forms) only mark it stale, all-bank PIM commands and
+/// refresh rebuild it. Random legal command streams mixing all three,
+/// with refresh on, check after every step the all-bank legality and
+/// earliest cycle of `PimActAll`/`PreAll`/`PimOp`, `all_banks_open_to`
+/// and `any_bank_open` against a from-scratch computation over the
+/// per-bank state plus the command-bus and CCD releases the stream
+/// itself produced.
+#[test]
+fn bank_aggregate_matches_per_bank_scan() {
+    let hbm = SystemConfig::default();
+    let lp5x = pim_coscheduling::dram::backend::system_config(
+        pim_coscheduling::dram::backend::parse_spec("lp5x:ranks=4").expect("registered backend"),
+    );
+    let refresh = |t: &DramTiming| DramTiming {
+        t_refi: 300,
+        t_rfc: 40,
+        ..t.clone()
+    };
+    let variants = [
+        ("hbm", hbm.dram.clone(), refresh(&DramTiming::default())),
+        ("lp5x", lp5x.dram.clone(), refresh(&lp5x.timing)),
+    ];
+    let mut rng = SplitMix64::new(0xA66);
+    let mut checks = 0u64;
+    for (v, dram, timing) in variants.iter() {
+        for case in 0..24 {
+            let mut ch = Channel::new(dram, timing);
+            let n = ch.num_banks();
+            // The stream's own command-bus and all-bank CCD releases.
+            let mut cmd_bus = 0u64;
+            let mut ccd_all = 0u64;
+            let mut now = 0u64;
+            for step in 0..400 {
+                let ctx = format!("variant {v} case {case} step {step} cycle {now}");
+                let rows: Vec<Option<u32>> = (0..n).map(|b| ch.open_row(b)).collect();
+                let rel: Vec<_> = (0..n).map(|b| ch.bank_releases(b)).collect();
+                let open = rows.iter().filter(|r| r.is_some()).count();
+                let floor = now.max(cmd_bus);
+                let pending = ch.refresh_pending();
+                let want_act_all = (!pending && open == 0)
+                    .then(|| rel.iter().map(|r| r.act).fold(floor, u64::max));
+                let want_pre_all = (open > 0).then(|| {
+                    (0..n)
+                        .filter(|&b| rows[b].is_some())
+                        .map(|b| rel[b].pre)
+                        .fold(floor, u64::max)
+                });
+                let want_pim_op = (!pending && open == n)
+                    .then(|| rel.iter().map(|r| r.col).fold(floor.max(ccd_all), u64::max));
+                for (cmd, want) in [
+                    (DramCommand::PimActAll { row: 1 }, want_act_all),
+                    (DramCommand::PreAll, want_pre_all),
+                    (DramCommand::PimOp { writes_row: false }, want_pim_op),
+                ] {
+                    assert_eq!(ch.earliest_issue(cmd, now), want, "{ctx}: {cmd:?}");
+                    assert_eq!(ch.can_issue(cmd, now), want == Some(now), "{ctx}: {cmd:?}");
+                }
+                assert_eq!(ch.any_bank_open(), open > 0, "{ctx}: any_bank_open");
+                for row in 0..4 {
+                    assert_eq!(
+                        ch.all_banks_open_to(row),
+                        rows.iter().all(|&r| r == Some(row)),
+                        "{ctx}: all_banks_open_to({row})"
+                    );
+                }
+                checks += 1;
+                // Next command: mostly single-bank, often all-bank, so
+                // stale and fresh aggregates both meet every check.
+                let bank = rng.next_range(n as u64) as usize;
+                let row = rng.next_range(3) as u32;
+                let cmd = match rng.next_range(10) {
+                    0 | 1 => DramCommand::Act { bank, row },
+                    2 => DramCommand::Pre { bank },
+                    3 => DramCommand::Read { bank },
+                    4 => DramCommand::Write { bank },
+                    5 => DramCommand::ReadAuto { bank },
+                    6 => DramCommand::WriteAuto { bank },
+                    7 => DramCommand::PimActAll { row },
+                    8 => DramCommand::PreAll,
+                    _ => DramCommand::PimOp {
+                        writes_row: rng.chance(0.3),
+                    },
+                };
+                // Walk to the command's earliest cycle, ticking every
+                // cycle so refreshes fall due and execute on the way.
+                let target = ch
+                    .earliest_issue(cmd, now)
+                    .filter(|&e| e < now + 200)
+                    .unwrap_or(now + 1 + rng.next_range(4));
+                while now < target {
+                    now += 1;
+                    ch.tick(now);
+                }
+                if ch.can_issue(cmd, now) {
+                    ch.issue(cmd, now);
+                    cmd_bus = now + 1;
+                    if matches!(
+                        cmd,
+                        DramCommand::Read { .. }
+                            | DramCommand::Write { .. }
+                            | DramCommand::ReadAuto { .. }
+                            | DramCommand::WriteAuto { .. }
+                            | DramCommand::PimOp { .. }
+                    ) {
+                        // Every column command is a CCD source; all-bank
+                        // ops always wait tCCDl.
+                        ccd_all = now + timing.t_ccdl;
+                    }
+                }
+            }
+            assert!(
+                ch.stats().refreshes > 0,
+                "variant {v} case {case}: no refresh ran"
+            );
+        }
+    }
+    assert!(checks > 10_000, "too few checks: {checks}");
+}
+
 /// The controller's stall memo is unobservable: a controller with the
 /// memo enabled and one forced to take a full step every cycle (the
 /// brute-force oracle, via `set_stall_enabled(false)`) accept the same
